@@ -11,14 +11,17 @@
 //!
 //! Entries are stored in name order (the dictionary is a `BTreeMap`), so
 //! encoding is byte-deterministic: the same state always produces the same
-//! file. Decoding bounds every allocation by the bytes actually remaining,
-//! so corrupt length fields can never trigger huge allocations.
+//! file. The framing, length guards and checksum trailer are
+//! [`crate::wire`]'s, so decoding bounds every allocation by the bytes
+//! actually remaining: corrupt length fields can never trigger huge
+//! allocations.
 
 use std::collections::BTreeMap;
 
 use mhg_tensor::Tensor;
 
 use crate::error::CkptError;
+use crate::wire::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"MHGC";
 const VERSION: u16 = 1;
@@ -161,182 +164,87 @@ impl StateDict {
     }
 }
 
-/// FNV-1a 64 over a byte stream (the same hash the golden tests use).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Checked narrowing of a size to a `u32` wire field: a count that does not
-/// fit would silently wrap and corrupt the archive, so fail loudly instead.
-fn size_u32(n: usize, what: &str) -> u32 {
-    assert!(
-        u32::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u32 wire format"
-    );
-    n as u32
-}
-
-/// Checked narrowing of a size to a `u16` wire field.
-fn size_u16(n: usize, what: &str) -> u16 {
-    assert!(
-        u16::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u16 wire format"
-    );
-    n as u16
-}
-
 /// Serialises a dictionary to its versioned, checksummed binary form.
 pub fn encode(dict: &StateDict) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + 16 * dict.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&size_u32(dict.len(), "entry count").to_le_bytes());
+    let mut w = Writer::with_capacity(64 + 16 * dict.len());
+    w.header(MAGIC, VERSION);
+    w.len_u32(dict.len(), "entry count");
     for (name, value) in dict.iter() {
-        out.extend_from_slice(&size_u16(name.len(), "name length").to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
+        w.len_u16(name.len(), "name length");
+        w.bytes(name.as_bytes());
         match value {
             Value::Tensor(t) => {
-                out.push(TAG_TENSOR);
-                out.extend_from_slice(&size_u32(t.rows(), "tensor rows").to_le_bytes());
-                out.extend_from_slice(&size_u32(t.cols(), "tensor cols").to_le_bytes());
-                for v in t.as_slice() {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+                w.u8(TAG_TENSOR);
+                w.len_u32(t.rows(), "tensor rows");
+                w.len_u32(t.cols(), "tensor cols");
+                w.f32s(t.as_slice());
             }
             Value::U64(v) => {
-                out.push(TAG_U64);
-                out.extend_from_slice(&v.to_le_bytes());
+                w.u8(TAG_U64);
+                w.u64(*v);
             }
             Value::F64(v) => {
-                out.push(TAG_F64);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.u8(TAG_F64);
+                w.f64(*v);
             }
             Value::U64s(vs) => {
-                out.push(TAG_U64S);
-                out.extend_from_slice(&size_u32(vs.len(), "u64 array length").to_le_bytes());
-                for v in vs {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                w.u8(TAG_U64S);
+                w.len_u32(vs.len(), "u64 array length");
+                w.u64s(vs);
             }
             Value::Bytes(bs) => {
-                out.push(TAG_BYTES);
-                out.extend_from_slice(&size_u32(bs.len(), "byte payload length").to_le_bytes());
-                out.extend_from_slice(bs);
+                w.u8(TAG_BYTES);
+                w.len_u32(bs.len(), "byte payload length");
+                w.bytes(bs);
             }
         }
     }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    w.finish_checksummed()
 }
 
-/// Deserialises a dictionary, verifying magic, version and checksum.
+/// Deserialises a dictionary, verifying magic, version and checksum (in
+/// that order, so a foreign file reports [`CkptError::BadMagic`]). Every
+/// length field is checked against the bytes actually present before
+/// anything is allocated.
 pub fn decode(buf: &[u8]) -> Result<StateDict, CkptError> {
-    // Trailer first: the checksum covers everything before it.
-    if buf.len() < MAGIC.len() + 2 + 4 + 8 {
-        return Err(CkptError::Truncated);
-    }
-    let (payload, trailer) = buf.split_at(buf.len() - 8);
-    if &payload[..4] != MAGIC {
-        return Err(CkptError::BadMagic);
-    }
-    let version = u16::from_le_bytes([payload[4], payload[5]]);
-    if version != VERSION {
-        return Err(CkptError::UnsupportedVersion(version));
-    }
-    let stored = u64::from_le_bytes(trailer.try_into().map_err(|_| CkptError::Truncated)?);
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(CkptError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut cur = &payload[6..];
-    let count = read_u32(&mut cur)? as usize;
+    let mut r = Reader::new(buf);
+    r.need(MAGIC.len() + 2 + 4 + 8)?;
+    r.header(MAGIC, VERSION)?;
+    r.verify_trailer()?;
+    let count = r.u32()?;
     let mut dict = StateDict::new();
     for _ in 0..count {
-        let name_len = read_u16(&mut cur)? as usize;
-        let name_bytes = take(&mut cur, name_len)?;
-        let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| CkptError::BadUtf8)?;
-        let tag = read_u8(&mut cur)?;
-        let value = match tag {
+        let name_len = r.u16()?;
+        let name = r.string(name_len.into())?;
+        let value = match r.u8()? {
             TAG_TENSOR => {
-                let rows = read_u32(&mut cur)? as usize;
-                let cols = read_u32(&mut cur)? as usize;
+                let rows = r.u32()? as usize;
+                let cols = r.u32()? as usize;
                 let n = rows.checked_mul(cols).ok_or(CkptError::Truncated)?;
-                let raw = take(&mut cur, n.checked_mul(4).ok_or(CkptError::Truncated)?)?;
-                let data: Vec<f32> = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-                    .collect();
-                Value::Tensor(Tensor::from_vec(rows, cols, data))
+                Value::Tensor(Tensor::from_vec(rows, cols, r.f32s(n)?))
             }
-            TAG_U64 => Value::U64(u64::from_le_bytes(
-                take(&mut cur, 8)?
-                    .try_into()
-                    .map_err(|_| CkptError::Truncated)?,
-            )),
-            TAG_F64 => Value::F64(f64::from_bits(u64::from_le_bytes(
-                take(&mut cur, 8)?
-                    .try_into()
-                    .map_err(|_| CkptError::Truncated)?,
-            ))),
+            TAG_U64 => Value::U64(r.u64()?),
+            TAG_F64 => Value::F64(r.f64()?),
             TAG_U64S => {
-                let n = read_u32(&mut cur)? as usize;
-                let raw = take(&mut cur, n.checked_mul(8).ok_or(CkptError::Truncated)?)?;
-                let vs: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                    .collect();
-                Value::U64s(vs)
+                let n = r.u32()? as usize;
+                Value::U64s(r.u64s(n)?)
             }
             TAG_BYTES => {
-                let n = read_u32(&mut cur)? as usize;
-                Value::Bytes(take(&mut cur, n)?.to_vec())
+                let n = r.u32()? as usize;
+                Value::Bytes(r.bytes(n)?.to_vec())
             }
             other => return Err(CkptError::BadTag(other)),
         };
         dict.put(name, value);
     }
-    if !cur.is_empty() {
-        return Err(CkptError::Truncated);
-    }
+    r.finish()?;
     Ok(dict)
-}
-
-/// Splits off the next `n` bytes, erroring instead of panicking when the
-/// buffer is short — this is what bounds every allocation above: a hostile
-/// length field can never request more than the bytes actually present.
-fn take<'a>(cur: &mut &'a [u8], n: usize) -> Result<&'a [u8], CkptError> {
-    if cur.len() < n {
-        return Err(CkptError::Truncated);
-    }
-    let (head, tail) = cur.split_at(n);
-    *cur = tail;
-    Ok(head)
-}
-
-fn read_u8(cur: &mut &[u8]) -> Result<u8, CkptError> {
-    Ok(take(cur, 1)?[0])
-}
-
-fn read_u16(cur: &mut &[u8]) -> Result<u16, CkptError> {
-    let b = take(cur, 2)?;
-    Ok(u16::from_le_bytes([b[0], b[1]]))
-}
-
-fn read_u32(cur: &mut &[u8]) -> Result<u32, CkptError> {
-    let b = take(cur, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::fnv1a64;
 
     fn sample_dict() -> StateDict {
         let mut d = StateDict::new();

@@ -2,6 +2,8 @@
 
 use std::io;
 
+use crate::wire::WireError;
+
 /// Everything that can go wrong while saving or loading a checkpoint.
 ///
 /// Decoding never panics and never trusts length fields: corrupt, truncated
@@ -71,5 +73,19 @@ impl std::error::Error for CkptError {
 impl From<io::Error> for CkptError {
     fn from(e: io::Error) -> Self {
         CkptError::Io(e)
+    }
+}
+
+impl From<WireError> for CkptError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::BadMagic => CkptError::BadMagic,
+            WireError::UnsupportedVersion(v) => CkptError::UnsupportedVersion(v),
+            WireError::Truncated => CkptError::Truncated,
+            WireError::ChecksumMismatch { stored, computed } => {
+                CkptError::ChecksumMismatch { stored, computed }
+            }
+            WireError::BadUtf8 => CkptError::BadUtf8,
+        }
     }
 }

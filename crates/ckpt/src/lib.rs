@@ -13,6 +13,10 @@
 //!   injection; see `mhg-faults`).
 //! * [`Checkpointer`] — epoch-indexed checkpoint files in a directory,
 //!   with newest-checkpoint discovery for resume.
+//! * [`wire`] — the one binary codec (little-endian [`wire::Writer`],
+//!   length-guarded [`wire::Reader`], FNV-1a trailer) that every on-disk
+//!   format in the workspace is built on, including [`EmbeddingTables`],
+//!   the file `hybridgnn-cli train` writes and `recommend` serves from.
 //!
 //! The `mhg-train` pipeline composes these into `train(k) → crash → resume`
 //! runs that are bit-identical to straight-through training; see
@@ -21,14 +25,18 @@
 mod atomic;
 mod checkpoint;
 mod codec;
+mod embeddings;
 mod error;
+pub mod wire;
 
 pub use atomic::{
     atomic_write, atomic_write_retry, read_file, write_retries, DEFAULT_WRITE_ATTEMPTS,
 };
 pub use checkpoint::Checkpointer;
-pub use codec::{decode, encode, fnv1a64, StateDict, Value};
+pub use codec::{decode, encode, StateDict, Value};
+pub use embeddings::EmbeddingTables;
 pub use error::CkptError;
+pub use wire::{fnv1a64, WireError};
 
 #[cfg(test)]
 pub(crate) mod test_support {

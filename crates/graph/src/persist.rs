@@ -1,12 +1,12 @@
-//! Binary snapshot persistence for [`MultiplexGraph`].
+//! Binary snapshot persistence for [`MultiplexGraph`] (magic `MHG1`).
 //!
-//! A small hand-rolled codec over [`bytes`]: length-prefixed strings and
-//! little-endian arrays, with a magic header and version byte. Used by the
-//! benchmark harness to cache generated datasets between runs.
+//! Built on [`mhg_ckpt::wire`]: length-prefixed strings and little-endian
+//! arrays behind a magic header and a version byte. Used by the benchmark
+//! harness and the CLI to cache generated datasets between runs.
 //!
 //! Decoding is hardened against hostile input: every length prefix is
 //! validated against the bytes actually remaining before any allocation, so
-//! corrupt or truncated snapshots produce a typed [`DecodeError`] — never a
+//! corrupt or truncated snapshots produce a typed [`WireError`] — never a
 //! panic or an attempted multi-gigabyte allocation. Writes go through
 //! [`mhg_ckpt::atomic_write`], so a crash mid-save leaves the previous
 //! snapshot intact.
@@ -14,7 +14,7 @@
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mhg_ckpt::wire::{size_u32, Reader, WireError, Writer};
 
 use crate::csr::Csr;
 use crate::store::GraphStore;
@@ -23,176 +23,97 @@ use crate::{MultiplexGraph, NodeId, NodeTypeId, Schema};
 const MAGIC: &[u8; 4] = b"MHG1";
 const VERSION: u8 = 1;
 
-/// Errors produced when decoding a snapshot.
-#[derive(Debug)]
-pub enum DecodeError {
-    /// The buffer did not start with the expected magic bytes.
-    BadMagic,
-    /// Snapshot version not supported by this build.
-    UnsupportedVersion(u8),
-    /// The buffer ended prematurely or contained inconsistent lengths.
-    Truncated,
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadMagic => write!(f, "not an MHG snapshot (bad magic)"),
-            DecodeError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            DecodeError::Truncated => write!(f, "snapshot truncated or inconsistent"),
-            DecodeError::BadUtf8 => write!(f, "invalid UTF-8 in snapshot string"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Checked narrowing of a count to a `u32` wire field: a graph too large
-/// for the format must fail loudly instead of wrapping into a corrupt
-/// snapshot.
-fn size_u32(n: usize, what: &str) -> u32 {
-    assert!(
-        u32::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u32 snapshot format"
-    );
-    n as u32
-}
-
-/// Checked narrowing of a count to a `u16` wire field.
-fn size_u16(n: usize, what: &str) -> u16 {
-    assert!(
-        u16::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u16 snapshot format"
-    );
-    n as u16
-}
-
 /// Serialises any graph store to bytes.
 ///
 /// The CSR sections are reconstructed from the [`GraphStore`] contract
 /// (degrees and sorted neighbor lists), so a [`crate::ShardedCsr`] snapshots
 /// to bytes identical to the in-RAM graph built from the same edges.
-pub fn encode<G: GraphStore>(graph: &G) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + graph.num_nodes() * 6 + graph.num_edges() * 10);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+pub fn encode<G: GraphStore>(graph: &G) -> Vec<u8> {
+    let mut w = Writer::with_capacity(64 + graph.num_nodes() * 6 + graph.num_edges() * 10);
+    w.bytes(MAGIC);
+    w.u8(VERSION);
 
     let schema = graph.schema();
-    put_str_list(&mut buf, schema.node_type_names());
-    put_str_list(&mut buf, schema.relation_names());
+    w.str_list(schema.node_type_names());
+    w.str_list(schema.relation_names());
 
-    buf.put_u32_le(size_u32(graph.num_nodes(), "node count"));
+    w.len_u32(graph.num_nodes(), "node count");
     for v in graph.node_id_range().map(NodeId) {
-        buf.put_u16_le(graph.node_type(v).0);
+        w.u16(graph.node_type(v).0);
     }
 
     for r in schema.relations() {
-        buf.put_u32_le(size_u32(graph.num_nodes() + 1, "CSR offset count"));
+        w.len_u32(graph.num_nodes() + 1, "CSR offset count");
         let mut off = 0u32;
-        buf.put_u32_le(off);
+        w.u32(off);
         for v in graph.node_id_range().map(NodeId) {
             let d = size_u32(graph.degree(v, r), "node degree");
             off = off
                 .checked_add(d)
                 .unwrap_or_else(|| size_u32(usize::MAX, "CSR offset"));
-            buf.put_u32_le(off);
+            w.u32(off);
         }
-        buf.put_u32_le(size_u32(graph.num_directed_edges_in(r), "CSR target count"));
+        w.len_u32(graph.num_directed_edges_in(r), "CSR target count");
         for v in graph.node_id_range().map(NodeId) {
             graph.with_neighbors(v, r, |ns| {
                 for &t in ns {
-                    buf.put_u32_le(t.0);
+                    w.u32(t.0);
                 }
             });
         }
     }
 
-    buf.freeze()
+    w.finish()
 }
 
 /// Deserialises a graph from bytes.
-pub fn decode(mut buf: &[u8]) -> Result<MultiplexGraph, DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = buf.get_u8();
+pub fn decode(buf: &[u8]) -> Result<MultiplexGraph, WireError> {
+    let mut r = Reader::new(buf);
+    r.need(5)?;
+    r.magic(MAGIC)?;
+    let version = r.u8()?;
     if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
+        return Err(WireError::UnsupportedVersion(version.into()));
     }
 
-    let node_type_names = get_str_list(&mut buf)?;
-    let relation_names = get_str_list(&mut buf)?;
+    let node_type_names = r.str_list()?;
+    let relation_names = r.str_list()?;
     let mut schema = Schema::new();
     for n in &node_type_names {
         schema.add_node_type(n);
     }
-    for r in &relation_names {
-        schema.add_relation(r);
+    for rel in &relation_names {
+        schema.add_relation(rel);
     }
 
-    let num_nodes = get_u32(&mut buf)? as usize;
-    // Each node type costs 2 bytes; a length prefix promising more nodes
-    // than the buffer can hold is corrupt. Checking before the allocation
-    // keeps hostile prefixes from reserving gigabytes.
-    if num_nodes
-        .checked_mul(2)
-        .is_none_or(|need| need > buf.remaining())
+    let num_nodes = r.u32()? as usize;
+    let node_types = r.u16s(num_nodes)?;
+    if node_types
+        .iter()
+        .any(|&t| t as usize >= schema.num_node_types())
     {
-        return Err(DecodeError::Truncated);
+        return Err(WireError::Truncated);
     }
-    let mut node_types = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        let t = buf.get_u16_le();
-        if t as usize >= schema.num_node_types() {
-            return Err(DecodeError::Truncated);
-        }
-        node_types.push(NodeTypeId(t));
-    }
+    let node_types = node_types.into_iter().map(NodeTypeId).collect();
 
     let mut adjacency = Vec::with_capacity(schema.num_relations());
     for _ in 0..schema.num_relations() {
-        let n_off = get_u32(&mut buf)? as usize;
+        let n_off = r.u32()? as usize;
         if n_off != num_nodes + 1 {
-            return Err(DecodeError::Truncated);
+            return Err(WireError::Truncated);
         }
-        if n_off
-            .checked_mul(4)
-            .is_none_or(|need| need > buf.remaining())
-        {
-            return Err(DecodeError::Truncated);
-        }
-        let mut offsets = Vec::with_capacity(n_off);
-        for _ in 0..n_off {
-            offsets.push(get_u32(&mut buf)?);
-        }
-        let n_tgt = get_u32(&mut buf)? as usize;
+        let offsets = r.u32s(n_off)?;
+        let n_tgt = r.u32()? as usize;
         if offsets.last().is_none_or(|&last| last as usize != n_tgt) {
-            return Err(DecodeError::Truncated);
+            return Err(WireError::Truncated);
         }
-        if n_tgt
-            .checked_mul(4)
-            .is_none_or(|need| need > buf.remaining())
+        let targets = r.u32s(n_tgt)?;
+        if targets.iter().any(|&t| t as usize >= num_nodes)
+            || !offsets.windows(2).all(|w| w[0] <= w[1])
         {
-            return Err(DecodeError::Truncated);
+            return Err(WireError::Truncated);
         }
-        let mut targets = Vec::with_capacity(n_tgt);
-        for _ in 0..n_tgt {
-            let t = get_u32(&mut buf)?;
-            if t as usize >= num_nodes {
-                return Err(DecodeError::Truncated);
-            }
-            targets.push(NodeId(t));
-        }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(DecodeError::Truncated);
-        }
+        let targets = targets.into_iter().map(NodeId).collect();
         adjacency.push(Csr::from_parts(offsets, targets));
     }
 
@@ -209,46 +130,6 @@ pub fn save(graph: &MultiplexGraph, path: impl AsRef<Path>) -> io::Result<()> {
 pub fn load(path: impl AsRef<Path>) -> io::Result<MultiplexGraph> {
     let data = std::fs::read(path)?;
     decode(&data).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-fn put_str_list(buf: &mut BytesMut, items: &[String]) {
-    buf.put_u16_le(size_u16(items.len(), "string-list length"));
-    for s in items {
-        buf.put_u16_le(size_u16(s.len(), "string length"));
-        buf.put_slice(s.as_bytes());
-    }
-}
-
-fn get_str_list(buf: &mut &[u8]) -> Result<Vec<String>, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = buf.get_u16_le() as usize;
-    // Every entry needs at least its 2-byte length prefix.
-    if n.checked_mul(2).is_none_or(|need| need > buf.remaining()) {
-        return Err(DecodeError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 2 {
-            return Err(DecodeError::Truncated);
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(DecodeError::Truncated);
-        }
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        out.push(String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?);
-    }
-    Ok(out)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u32_le())
 }
 
 #[cfg(test)]
@@ -305,14 +186,11 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(matches!(decode(b"nope"), Err(DecodeError::Truncated)));
-        assert!(matches!(
-            decode(b"XXXX\x01rest"),
-            Err(DecodeError::BadMagic)
-        ));
+        assert!(matches!(decode(b"nope"), Err(WireError::Truncated)));
+        assert!(matches!(decode(b"XXXX\x01rest"), Err(WireError::BadMagic)));
         assert!(matches!(
             decode(b"MHG1\x63rest"),
-            Err(DecodeError::UnsupportedVersion(0x63))
+            Err(WireError::UnsupportedVersion(0x63))
         ));
     }
 
@@ -350,25 +228,25 @@ mod tests {
     fn hostile_length_prefixes_fail_fast_without_allocating() {
         // A header promising u32::MAX nodes with almost no payload must be
         // rejected before any proportional allocation happens.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u16_le(1); // 1 node type
-        buf.put_u16_le(1);
-        buf.put_slice(b"t");
-        buf.put_u16_le(1); // 1 relation
-        buf.put_u16_le(1);
-        buf.put_slice(b"r");
-        buf.put_u32_le(u32::MAX); // hostile node count
-        buf.put_u16_le(0);
-        assert!(matches!(decode(&buf), Err(DecodeError::Truncated)));
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u8(VERSION);
+        w.u16(1); // 1 node type
+        w.u16(1);
+        w.bytes(b"t");
+        w.u16(1); // 1 relation
+        w.u16(1);
+        w.bytes(b"r");
+        w.u32(u32::MAX); // hostile node count
+        w.u16(0);
+        assert!(matches!(decode(&w.finish()), Err(WireError::Truncated)));
 
         // Same for a hostile string-list count.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u16_le(u16::MAX); // hostile name count, no payload
-        assert!(matches!(decode(&buf), Err(DecodeError::Truncated)));
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u8(VERSION);
+        w.u16(u16::MAX); // hostile name count, no payload
+        assert!(matches!(decode(&w.finish()), Err(WireError::Truncated)));
     }
 
     #[test]

@@ -27,6 +27,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use mhg_ckpt::wire::{size_u16, size_u32};
+
 use crate::heal::HealState;
 use crate::shard_codec::{self, Manifest, ShardError, ShardMeta};
 use crate::store::GraphStore;
@@ -248,8 +250,8 @@ impl ShardedCsr {
             for (v, &c) in counts.iter().enumerate() {
                 if acc + u64::from(c) > cap && v > start {
                     table.push(ShardMeta {
-                        start: shard_codec::size_u32(start, "shard start"),
-                        end: shard_codec::size_u32(v, "shard end"),
+                        start: size_u32(start, "shard start"),
+                        end: size_u32(v, "shard end"),
                         num_targets: 0, // final count filled per wave
                     });
                     start = v;
@@ -260,8 +262,8 @@ impl ShardedCsr {
             }
             if num_nodes > start && any {
                 table.push(ShardMeta {
-                    start: shard_codec::size_u32(start, "shard start"),
-                    end: shard_codec::size_u32(num_nodes, "shard end"),
+                    start: size_u32(start, "shard start"),
+                    end: size_u32(num_nodes, "shard end"),
                     num_targets: 0,
                 });
             }
@@ -313,7 +315,7 @@ impl ShardedCsr {
                     .map_err(|_| ShardError::Inconsistent("wave too large"))?;
                 let mut staging = vec![NodeId(0); total];
                 let mut cursor: Vec<u64> = local_off[..span].to_vec();
-                let rel_id = RelationId(shard_codec::size_u16(rel, "relation id"));
+                let rel_id = RelationId(size_u16(rel, "relation id"));
                 source.for_each_edge(&mut |r, u, v| {
                     if r != rel_id {
                         return;
@@ -367,12 +369,12 @@ impl ShardedCsr {
                     let meta = ShardMeta {
                         start: table[shard_idx].start,
                         end: table[shard_idx].end,
-                        num_targets: shard_codec::size_u32(hi - lo, "shard target count"),
+                        num_targets: size_u32(hi - lo, "shard target count"),
                     };
                     table[shard_idx] = meta;
                     let bytes = shard_codec::encode_shard(
-                        shard_codec::size_u16(rel, "relation id"),
-                        shard_codec::size_u32(shard_idx, "shard index"),
+                        size_u16(rel, "relation id"),
+                        size_u32(shard_idx, "shard index"),
                         &meta,
                         &staging[lo..hi],
                     );

@@ -307,13 +307,19 @@ fn atomics_fixture_fires_outside_obs_only_for_relaxed() {
 #[test]
 fn unchecked_fixture_fires_on_persistence_paths_only() {
     let src = include_str!("fixtures/bad_unchecked.rs");
-    // In ckpt: the bare `len() as u32`, `rows() as u16` and `8 * len()`.
-    let in_ckpt = rules_fired("crates/ckpt/src/bad_unchecked.rs", src);
-    assert_eq!(
-        count(&in_ckpt, Rule::UncheckedArith),
-        3,
-        "diagnostics: {in_ckpt:?}"
-    );
+    // In ckpt, the wire codec included: the bare `len() as u32`,
+    // `rows() as u16` and `8 * len()`.
+    for path in [
+        "crates/ckpt/src/bad_unchecked.rs",
+        "crates/ckpt/src/wire.rs",
+    ] {
+        let in_ckpt = rules_fired(path, src);
+        assert_eq!(
+            count(&in_ckpt, Rule::UncheckedArith),
+            3,
+            "diagnostics for {path}: {in_ckpt:?}"
+        );
+    }
     // Outside the persistence paths the rule does not apply.
     let in_models = rules_fired("crates/models/src/bad_unchecked.rs", src);
     assert_eq!(

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
+use hybridgnn_repro::ckpt::{self, EmbeddingTables};
 use hybridgnn_repro::datasets::{DatasetKind, EdgeSplit, SyntheticTier};
 use hybridgnn_repro::eval;
 use hybridgnn_repro::graph::{
@@ -33,7 +33,8 @@ use hybridgnn_repro::models::{FitData, LinkPredictor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const EMB_MAGIC: &[u8; 4] = b"MHE1";
+/// Magic of the unchecksummed embedding files older builds wrote.
+const OLD_EMB_MAGIC: &[u8; 4] = b"MHE1";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -232,7 +233,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
         .ok_or_else(|| format!("unknown relation {rel_name:?}"))?;
 
     let tables = load_embeddings(&model_path, &graph)?;
-    let table = &tables[relation.index()];
+    let row = |v: NodeId| tables.row(relation.index(), v.index());
 
     // Candidate targets: the node types observed opposite `node`'s type
     // under this relation (e.g. items for a user under page-view); all
@@ -246,17 +247,13 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    let source_row = &table[node.index()];
+    let source_row = row(node);
     let mut scored: Vec<(NodeId, f32)> = graph
         .nodes()
         .filter(|&v| v != node && !graph.has_edge(node, v, relation))
         .filter(|&v| target_types.is_empty() || target_types.contains(&graph.node_type(v)))
         .map(|v| {
-            let dot: f32 = source_row
-                .iter()
-                .zip(&table[v.index()])
-                .map(|(a, b)| a * b)
-                .sum();
+            let dot: f32 = source_row.iter().zip(row(v)).map(|(a, b)| a * b).sum();
             (v, dot)
         })
         .collect();
@@ -399,55 +396,35 @@ fn save_embeddings(
     let n = graph.num_nodes();
     let num_rel = graph.schema().num_relations();
     let dim = model.embedding(NodeId(0), RelationId(0)).len();
-    let mut buf = BytesMut::with_capacity(16 + num_rel * n * dim * 4);
-    buf.put_slice(EMB_MAGIC);
-    buf.put_u32_le(num_rel as u32);
-    buf.put_u32_le(n as u32);
-    buf.put_u32_le(dim as u32);
+    let mut data = Vec::with_capacity(num_rel * n * dim);
     for r in graph.schema().relations() {
         for v in graph.nodes() {
-            for &x in model.embedding(v, r) {
-                buf.put_f32_le(x);
-            }
+            data.extend_from_slice(model.embedding(v, r));
         }
     }
-    std::fs::write(path, &buf).map_err(|e| e.to_string())
+    let tables = EmbeddingTables::new(num_rel, n, dim, data);
+    ckpt::atomic_write(path, &tables.encode()).map_err(|e| e.to_string())
 }
 
-#[allow(clippy::type_complexity)]
-fn load_embeddings(path: &PathBuf, graph: &MultiplexGraph) -> Result<Vec<Vec<Vec<f32>>>, String> {
-    let data = std::fs::read(path).map_err(|e| e.to_string())?;
-    let mut buf = data.as_slice();
-    if buf.remaining() < 16 {
-        return Err("embedding file truncated".into());
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != EMB_MAGIC {
-        return Err("not an embedding file (bad magic)".into());
-    }
-    let num_rel = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
-    let dim = buf.get_u32_le() as usize;
-    if num_rel != graph.schema().num_relations() || n != graph.num_nodes() {
-        return Err(format!(
-            "embedding file shape ({num_rel} relations × {n} nodes) does not match the graph"
-        ));
-    }
-    if buf.remaining() < num_rel * n * dim * 4 {
-        return Err("embedding file truncated".into());
-    }
-    let mut tables = Vec::with_capacity(num_rel);
-    for _ in 0..num_rel {
-        let mut table = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                row.push(buf.get_f32_le());
-            }
-            table.push(row);
+fn load_embeddings(path: &PathBuf, graph: &MultiplexGraph) -> Result<EmbeddingTables, String> {
+    let data = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let tables = EmbeddingTables::decode(&data).map_err(|e| {
+        if data.starts_with(OLD_EMB_MAGIC) {
+            format!(
+                "{} is an embedding file from an older build (MHE1, no checksum); \
+                 re-run `train` to regenerate it",
+                path.display()
+            )
+        } else {
+            format!("{} is not a valid embedding file: {e}", path.display())
         }
-        tables.push(table);
+    })?;
+    if tables.relations() != graph.schema().num_relations() || tables.nodes() != graph.num_nodes() {
+        return Err(format!(
+            "embedding file shape ({} relations × {} nodes) does not match the graph",
+            tables.relations(),
+            tables.nodes()
+        ));
     }
     Ok(tables)
 }

@@ -91,6 +91,90 @@ fn full_workflow() {
 }
 
 #[test]
+fn recommend_rejects_damaged_embedding_files() {
+    let graph_path = temp_path("damaged.mhg");
+    let model_path = temp_path("damaged.emb");
+    let out = cli()
+        .args([
+            "generate",
+            "--dataset",
+            "taobao",
+            "--scale",
+            "0.005",
+            "--out",
+        ])
+        .arg(&graph_path)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let out = cli()
+        .args(["train", "--graph"])
+        .arg(&graph_path)
+        .args(["--epochs", "1", "--dim", "8", "--out"])
+        .arg(&model_path)
+        .output()
+        .expect("run train");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let good = std::fs::read(&model_path).expect("read embeddings");
+    assert_eq!(&good[..4], b"MHE2");
+
+    // Header: magic (4) + version (2) + three u32 dimensions (12); the
+    // float payload follows, then the 8-byte checksum trailer.
+    let mut flipped = good.clone();
+    flipped[18 + 5] ^= 0x10;
+    let mut extended = good.clone();
+    extended.push(0);
+    let truncated = good[..good.len() / 2].to_vec();
+    // The pre-checksum layout: "MHE1" + the same dimensions and floats.
+    let mut old = b"MHE1".to_vec();
+    old.extend_from_slice(&good[6..good.len() - 8]);
+
+    for (case, bytes, expect) in [
+        ("bit flip", flipped, "checksum mismatch"),
+        ("trailing byte", extended, "checksum mismatch"),
+        ("truncation", truncated, "not a valid embedding file"),
+        ("old format", old, "re-run `train`"),
+    ] {
+        let damaged = temp_path(&format!("damaged-{}.emb", case.replace(' ', "-")));
+        std::fs::write(&damaged, &bytes).expect("write damaged file");
+        let out = cli()
+            .args(["recommend", "--graph"])
+            .arg(&graph_path)
+            .arg("--model")
+            .arg(&damaged)
+            .args(["--node", "0", "--relation", "page-view", "--k", "3"])
+            .output()
+            .expect("run recommend");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{case}: recommend must fail");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(stderr.contains(expect), "{case}: {stderr}");
+        std::fs::remove_file(damaged).ok();
+    }
+
+    // The untouched file still serves.
+    let out = cli()
+        .args(["recommend", "--graph"])
+        .arg(&graph_path)
+        .arg("--model")
+        .arg(&model_path)
+        .args(["--node", "0", "--relation", "page-view", "--k", "3"])
+        .output()
+        .expect("run recommend");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_file(graph_path).ok();
+    std::fs::remove_file(model_path).ok();
+}
+
+#[test]
 fn helpful_errors() {
     // Unknown command.
     let out = cli().arg("frobnicate").output().expect("run");
