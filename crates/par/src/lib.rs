@@ -17,8 +17,6 @@
 //! thread-count cell are benign: a kernel that observes a stale count only
 //! runs with different parallelism, not to a different answer.
 
-pub mod opstats;
-
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,7 +203,6 @@ where
         body(0, out);
         return;
     }
-    opstats::bump(opstats::KernelOp::ParallelJobs);
     thread::scope(|scope| {
         let body = &body;
         let first_units = split_range(units, n_workers, 0);
@@ -253,7 +250,6 @@ where
     if n_workers <= 1 || tasks <= 1 {
         return (0..tasks).map(task).collect();
     }
-    opstats::bump(opstats::KernelOp::ParallelJobs);
     thread::scope(|scope| {
         let task = &task;
         let handles: Vec<_> = (1..n_workers)
@@ -287,7 +283,6 @@ where
     if n_workers <= 1 {
         return vec![part(0..units)];
     }
-    opstats::bump(opstats::KernelOp::ParallelJobs);
     thread::scope(|scope| {
         let part = &part;
         let handles: Vec<_> = (1..n_workers)

@@ -42,20 +42,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "train" => cmd_train(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "graph-fsck" => cmd_graph_fsck(&flags),
+    let (known, run): (&[&str], Command) = match command.as_str() {
+        "generate" => (GENERATE_FLAGS, cmd_generate),
+        "stats" => (STATS_FLAGS, cmd_stats),
+        "train" => (TRAIN_FLAGS, cmd_train),
+        "recommend" => (RECOMMEND_FLAGS, cmd_recommend),
+        "graph-fsck" => (GRAPH_FSCK_FLAGS, cmd_graph_fsck),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown command {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    match result {
+    match parse_flags(&args[1..], known).and_then(|flags| run(&flags)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -76,18 +78,54 @@ const USAGE: &str = "usage: hybridgnn-cli <generate|stats|train|recommend|graph-
   graph-fsck --dir <store-dir> [--repair true]
              [--source-graph <file.mhg> | --source-tier taobao [--scale f] [--seed n]]";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// A subcommand body, run on its parsed `--key value` flags.
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
+const GENERATE_FLAGS: &[&str] = &["dataset", "out", "scale", "seed"];
+const STATS_FLAGS: &[&str] = &["graph"];
+const TRAIN_FLAGS: &[&str] = &[
+    "graph",
+    "out",
+    "epochs",
+    "dim",
+    "seed",
+    "shapes",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "resume",
+    "metrics-out",
+];
+const RECOMMEND_FLAGS: &[&str] = &["graph", "model", "node", "relation", "k"];
+const GRAPH_FSCK_FLAGS: &[&str] = &[
+    "dir",
+    "repair",
+    "source-graph",
+    "source-tier",
+    "scale",
+    "seed",
+];
+
+/// Parses `--key value` pairs, rejecting keys outside `known`, a flag with
+/// no value (last token, or followed by another `--flag`), and stray
+/// positional tokens.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
-    let mut i = 0;
-    while i + 1 < args.len() + 1 {
-        if let Some(key) = args.get(i).and_then(|a| a.strip_prefix("--")) {
-            if let Some(value) = args.get(i + 1) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let key = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument {arg:?} (flags are --key value)"))?;
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key}\n{USAGE}"));
+        }
+        match rest.next() {
+            Some(value) if !value.starts_with("--") => {
                 out.insert(key.to_string(), value.clone());
             }
+            _ => return Err(format!("flag --{key} needs a value")),
         }
-        i += 2;
     }
-    out
+    Ok(out)
 }
 
 fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {

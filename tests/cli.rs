@@ -225,3 +225,30 @@ fn helpful_errors() {
     assert!(!out.status.success());
     std::fs::remove_file(graph_path).ok();
 }
+
+#[test]
+fn malformed_flags_are_rejected() {
+    // Flags are checked before any file is touched, so no graph is needed.
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "train", "--graph", "g.mhg", "--out", "g.emb", "--epoch", "1",
+            ],
+            "unknown flag --epoch",
+        ),
+        (
+            &["train", "--graph", "g.mhg", "--out", "g.emb", "--resume"],
+            "flag --resume needs a value",
+        ),
+        (
+            &["stats", "--graph", "g.mhg", "extra"],
+            "unexpected argument \"extra\"",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = cli().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+}
