@@ -4,18 +4,20 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
 use mhg_ckpt::wire::{Reader, Writer};
 use mhg_ckpt::{CkptError, StateDict};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{GraphStore, MetapathScheme, NodeId, NodeTypeId, RelationId};
-use mhg_models::{EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport};
+use mhg_models::{
+    EmbeddingScores, FitData, LinkPredictor, TapeModel, TapeStep, TrainError, TrainReport,
+};
 use mhg_sampling::{
     derive_seed, pairs_from_walk, sharded_over_obs, InterRelationshipExplorer,
     MetapathNeighborSampler, MetapathWalker, NegativeSampler, Pair, UniformNeighborSampler,
 };
 use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{pair_batches, BatchLoss, PairExample, TrainStep};
+use mhg_train::{pair_batches, PairExample, Snapshot};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -57,12 +59,38 @@ struct Params {
     lstm: Option<LstmParams>,
 }
 
-/// Static per-fit context shared by forward passes.
-struct ForwardCtx<'a, G: GraphStore> {
+/// HybridGNN on the tape: the hybrid-flow forward per pair batch with a
+/// per-center tape cache, and a (scores, attention) snapshot.
+struct HybridTape<'a, G: GraphStore> {
     graph: &'a G,
     config: &'a HybridConfig,
     /// Table II shapes with human-readable labels.
     shapes: &'a [(Vec<NodeTypeId>, String)],
+    p: Params,
+    val: &'a [LabeledEdge],
+}
+
+/// What a fitted HybridGNN keeps: its per-relation scores and the Fig. 4
+/// attention profile, checkpointed under `model/scores/*` and
+/// `model/attention`.
+struct HybridSnapshot {
+    scores: EmbeddingScores,
+    attention: AttentionProfile,
+}
+
+impl Snapshot for HybridSnapshot {
+    fn export_state(&self, dict: &mut StateDict) {
+        self.scores.export_state(dict);
+        dict.put_bytes("model/attention", encode_attention(&self.attention));
+    }
+
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+        let Some(scores) = EmbeddingScores::import_state(dict)? else {
+            return Ok(None);
+        };
+        let attention = decode_attention(dict.bytes("model/attention")?)?;
+        Ok(Some(Self { scores, attention }))
+    }
 }
 
 impl HybridGnn {
@@ -174,21 +202,23 @@ impl HybridGnn {
         };
         (params, p)
     }
+}
 
+impl<G: GraphStore> HybridTape<'_, G> {
     /// Forward pass for one node: returns `e*_{v,r}` for every relation
     /// (each a `1 × d_m` variable), plus per-relation `(label, mass)`
     /// attention observations when metapath attention is active.
     #[allow(clippy::type_complexity)]
-    fn forward_node<G: GraphStore>(
+    fn forward_node(
+        &self,
         g: &mut Graph<'_>,
-        p: &Params,
-        ctx: &ForwardCtx<'_, G>,
         v: NodeId,
         rng: &mut StdRng,
         collect_attention: bool,
     ) -> (Vec<Var>, Vec<Vec<(String, f64)>>) {
-        let cfg = ctx.config;
-        let graph = ctx.graph;
+        let cfg = self.config;
+        let graph = self.graph;
+        let p = &self.p;
         let metapath_sampler = MetapathNeighborSampler::new(graph, cfg.fan_out, cfg.max_layer);
         let uniform_sampler = UniformNeighborSampler::new(graph, cfg.fan_out, cfg.max_layer);
         let explorer = InterRelationshipExplorer::new(graph);
@@ -201,7 +231,7 @@ impl HybridGnn {
             let mut rows: Vec<Var> = Vec::new();
             let mut labels: Vec<String> = Vec::new();
 
-            for (si, (shape, label)) in ctx.shapes.iter().enumerate() {
+            for (si, (shape, label)) in self.shapes.iter().enumerate() {
                 if shape[0] != graph.node_type(v) {
                     continue;
                 }
@@ -306,14 +336,13 @@ impl HybridGnn {
 
     /// Full-graph inference: per-relation embedding tables, plus the
     /// averaged attention profile.
-    fn full_inference<G: GraphStore>(
+    fn full_inference(
+        &self,
         params: &ParamStore,
-        p: &Params,
-        ctx: &ForwardCtx<'_, G>,
         rng: &mut StdRng,
     ) -> (Vec<Tensor>, AttentionProfile) {
-        let graph = ctx.graph;
-        let d_m = ctx.config.common.dim;
+        let graph = self.graph;
+        let d_m = self.config.common.dim;
         let num_rel = graph.schema().num_relations();
         let mut tables = vec![Tensor::zeros(graph.num_nodes(), d_m); num_rel];
         // label → (mass sum, count), per relation.
@@ -323,7 +352,7 @@ impl HybridGnn {
         for chunk in nodes.chunks(BATCH) {
             let mut g = Graph::new(params);
             for &v in chunk {
-                let (e_stars, attn) = Self::forward_node(&mut g, p, ctx, v, rng, true);
+                let (e_stars, attn) = self.forward_node(&mut g, v, rng, true);
                 for (ri, e) in e_stars.iter().enumerate() {
                     tables[ri].set_row(v.index(), g.value(*e).row(0));
                 }
@@ -353,40 +382,20 @@ impl HybridGnn {
     }
 }
 
-/// The `TrainStep` for HybridGNN: hybrid-flow forward per pair batch with a
-/// per-center tape cache, (scores, attention) snapshot on improvement.
-struct HybridStep<'a, G: GraphStore> {
-    params: ParamStore,
-    p: Params,
-    graph: &'a G,
-    config: HybridConfig,
-    shapes: Vec<(Vec<NodeTypeId>, String)>,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    attention: &'a mut AttentionProfile,
-    staged: Option<(EmbeddingScores, AttentionProfile)>,
-}
-
-impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
+impl<G: GraphStore> TapeModel for HybridTape<'_, G> {
     type Batch = Vec<PairExample>;
+    type Snapshot = HybridSnapshot;
 
-    fn step(&mut self, batch: Vec<PairExample>, rng: &mut StdRng) -> BatchLoss {
-        let ctx = ForwardCtx {
-            graph: self.graph,
-            config: &self.config,
-            shapes: &self.shapes,
-        };
-        let mut g = Graph::new(&self.params);
+    fn loss(&self, g: &mut Graph<'_>, batch: Vec<PairExample>, rng: &mut StdRng) -> Var {
         // One forward per distinct center in the batch.
         let mut center_cache: HashMap<NodeId, Vec<Var>> = HashMap::new();
         let mut lefts: Vec<Var> = Vec::new();
         let mut targets: Vec<u32> = Vec::new();
         let mut labels: Vec<f32> = Vec::new();
         for ex in &batch {
-            let e_stars = center_cache.entry(ex.center).or_insert_with(|| {
-                HybridGnn::forward_node(&mut g, &self.p, &ctx, ex.center, rng, false).0
-            });
+            let e_stars = center_cache
+                .entry(ex.center)
+                .or_insert_with(|| self.forward_node(g, ex.center, rng, false).0);
             let e = e_stars[ex.relation.index()];
             lefts.push(e);
             targets.push(ex.context.0);
@@ -400,51 +409,15 @@ impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
         let left = g.concat_rows(&lefts);
         let right = g.gather(self.p.ctx, &targets);
         let scores = g.row_dot(left, right);
-        let loss = g.logistic_loss(scores, &labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
+        g.logistic_loss(scores, &labels)
     }
 
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        let ctx = ForwardCtx {
-            graph: self.graph,
-            config: &self.config,
-            shapes: &self.shapes,
-        };
-        let (tables, attention) = HybridGnn::full_inference(&self.params, &self.p, &ctx, rng);
-        let snapshot = EmbeddingScores::per_relation(tables)
-            .with_context(self.params.value(self.p.ctx).clone());
-        let auc = mhg_models::val_auc(&snapshot, self.val);
-        self.staged = Some((snapshot, attention));
-        auc
-    }
-
-    fn promote(&mut self) {
-        if let Some((scores, attention)) = self.staged.take() {
-            *self.scores = scores;
-            *self.attention = attention;
-        }
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-        dict.put_bytes("model/attention", encode_attention(self.attention));
-    }
-
-    fn import_state(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)?;
-        *self.attention = decode_attention(dict.bytes("model/attention")?)?;
-        Ok(())
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, HybridSnapshot) {
+        let (tables, attention) = self.full_inference(params, rng);
+        let scores =
+            EmbeddingScores::per_relation(tables).with_context(params.value(self.p.ctx).clone());
+        let auc = mhg_models::val_auc(&scores, self.val);
+        (auc, HybridSnapshot { scores, attention })
     }
 }
 
@@ -500,7 +473,7 @@ impl HybridGnn {
         rng: &mut StdRng,
     ) -> Result<TrainReport, TrainError> {
         let graph = data.graph;
-        let cfg = self.config.clone();
+        let cfg = &self.config;
         let common = &cfg.common;
 
         // Label shapes like "user-item-user" from schema names.
@@ -517,7 +490,7 @@ impl HybridGnn {
             })
             .collect();
 
-        let (params, p) = Self::init_params(graph, &cfg, shapes.len(), rng);
+        let (params, p) = Self::init_params(graph, cfg, shapes.len(), rng);
         let negatives = NegativeSampler::new(graph);
         let pair_budget = mhg_models::pair_budget(graph.num_edges());
 
@@ -573,19 +546,18 @@ impl HybridGnn {
             ))
         };
 
-        let mut step = HybridStep {
-            params,
-            p,
+        let model = HybridTape {
             graph,
-            config: cfg.clone(),
-            shapes: shapes.clone(),
-            opt: Adam::new(common.lr.min(0.01)),
+            config: cfg,
+            shapes: &shapes,
+            p,
             val: data.val,
-            scores: &mut self.scores,
-            attention: &mut self.attention,
-            staged: None,
         };
-        mhg_train::train(&common.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, common.lr);
+        let (report, best) = mhg_train::train(&common.train_options(), sample, &mut step, rng)?;
+        self.scores = best.scores;
+        self.attention = best.attention;
+        Ok(report)
     }
 }
 

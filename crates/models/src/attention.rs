@@ -1,6 +1,86 @@
 //! Attention building blocks shared by HAN, MAGNN and GATNE.
 
-use mhg_autograd::{Graph, ParamId, Var};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
+use mhg_graph::{MetapathScheme, NodeId};
+use mhg_tensor::{InitKind, Tensor};
+use rand::rngs::StdRng;
+
+use crate::common::FitData;
+
+/// Every metapath scheme HAN and MAGNN attend over: each Table II shape
+/// instantiated under every relation (both flatten multiplexity, so all
+/// instantiations feed one node embedding).
+pub(crate) fn flattened_schemes(data: &FitData<'_>) -> Vec<MetapathScheme> {
+    let mut out = Vec::new();
+    for shape in data.metapath_shapes {
+        for r in data.graph.schema().relations() {
+            out.push(MetapathScheme::intra(shape.clone(), r));
+        }
+    }
+    out
+}
+
+/// The parameters HAN and MAGNN share: node embeddings, one projection per
+/// metapath scheme, a self-projection, and the semantic attention of
+/// [`semantic_attention`].
+pub(crate) struct SchemeParams {
+    pub emb: ParamId,
+    pub w_scheme: Vec<ParamId>,
+    /// Registered right after the scheme projections, as `w_p{schemes}`.
+    pub w_self: ParamId,
+    pub w_sem: ParamId,
+    pub b_sem: ParamId,
+    pub q_sem: ParamId,
+}
+
+impl SchemeParams {
+    /// Registers the parameters for `num_nodes` nodes of dimension `dim`
+    /// and `num_schemes` schemes.
+    pub(crate) fn register(
+        params: &mut ParamStore,
+        num_nodes: usize,
+        dim: usize,
+        num_schemes: usize,
+        rng: &mut StdRng,
+    ) -> Self {
+        let ds = (dim / 2).max(8);
+        Self {
+            emb: params.register(
+                "emb",
+                InitKind::Uniform {
+                    limit: 0.5 / dim as f32,
+                }
+                .init(num_nodes, dim, rng),
+            ),
+            w_scheme: (0..num_schemes)
+                .map(|i| {
+                    params.register(
+                        format!("w_p{i}"),
+                        InitKind::XavierUniform.init(dim, dim, rng),
+                    )
+                })
+                .collect(),
+            w_self: params.register(
+                format!("w_p{num_schemes}"),
+                InitKind::XavierUniform.init(dim, dim, rng),
+            ),
+            w_sem: params.register("w_sem", InitKind::XavierUniform.init(dim, ds, rng)),
+            b_sem: params.register("b_sem", Tensor::zeros(1, ds)),
+            q_sem: params.register("q_sem", InitKind::XavierUniform.init(ds, 1, rng)),
+        }
+    }
+
+    /// Pools the stacked per-scheme summaries `z_rows` with semantic
+    /// attention, after appending the projected self row of `v` so the
+    /// stack is never empty.
+    pub(crate) fn pool_with_self(&self, g: &mut Graph<'_>, mut z_rows: Vec<Var>, v: NodeId) -> Var {
+        let w = g.param(self.w_self);
+        let self_emb = g.gather(self.emb, &[v.0]);
+        z_rows.push(g.matmul(self_emb, w));
+        let z = g.concat_rows(&z_rows);
+        semantic_attention(g, z, self.w_sem, self.b_sem, self.q_sem).0
+    }
+}
 
 /// Scaled dot-product attention pooling: scores `keys` (n × d) against a
 /// single `query` (1 × d), softmax-normalises and returns the weighted sum
@@ -41,9 +121,6 @@ pub(crate) fn semantic_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhg_autograd::ParamStore;
-    use mhg_tensor::{InitKind, Tensor};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

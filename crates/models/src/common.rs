@@ -6,7 +6,7 @@ use mhg_ckpt::{CkptError, StateDict};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{GraphStore, MultiplexGraph, NodeId, NodeTypeId, RelationId};
 use mhg_tensor::Tensor;
-use mhg_train::TrainOptions;
+use mhg_train::{Snapshot, TrainOptions};
 use rand::rngs::StdRng;
 
 pub use mhg_obs::{EventValue, Obs, ObsConfig};
@@ -212,36 +212,6 @@ impl EmbeddingScores {
         t.row(v.index())
     }
 
-    /// Serialises the committed artefact into `dict` under `prefix`. An
-    /// uninitialised artefact round-trips as uninitialised.
-    pub fn export_state(&self, prefix: &str, dict: &mut StateDict) {
-        dict.put_u64(format!("{prefix}/ntables"), self.tables.len() as u64);
-        for (i, t) in self.tables.iter().enumerate() {
-            dict.put_tensor(format!("{prefix}/table/{i}"), t.clone());
-        }
-        if let Some(c) = &self.context {
-            dict.put_tensor(format!("{prefix}/context"), c.clone());
-        }
-    }
-
-    /// Restores an artefact exported by [`EmbeddingScores::export_state`].
-    pub fn import_state(&mut self, prefix: &str, dict: &StateDict) -> Result<(), CkptError> {
-        let n = dict.u64(&format!("{prefix}/ntables"))? as usize;
-        let mut tables = Vec::new();
-        for i in 0..n {
-            tables.push(dict.tensor(&format!("{prefix}/table/{i}"))?.clone());
-        }
-        let context_key = format!("{prefix}/context");
-        let context = if dict.contains(&context_key) {
-            Some(dict.tensor(&context_key)?.clone())
-        } else {
-            None
-        };
-        self.tables = tables;
-        self.context = context;
-        Ok(())
-    }
-
     /// Dot-product score (train-consistent when a context table is set).
     pub fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {
         debug_assert!(self.is_ready(), "score() before fit()");
@@ -252,6 +222,37 @@ impl EmbeddingScores {
                     + dot(ctx.row(u.index()), self.embedding(v, r)))
             }
         }
+    }
+}
+
+/// Checkpointed under `model/scores/*`: the table count, each table, and
+/// the context table when set.
+impl Snapshot for EmbeddingScores {
+    fn export_state(&self, dict: &mut StateDict) {
+        dict.put_u64("model/scores/ntables", self.tables.len() as u64);
+        for (i, t) in self.tables.iter().enumerate() {
+            dict.put_tensor(format!("model/scores/table/{i}"), t.clone());
+        }
+        if let Some(c) = &self.context {
+            dict.put_tensor("model/scores/context", c.clone());
+        }
+    }
+
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+        if !dict.contains("model/scores/ntables") {
+            return Ok(None);
+        }
+        let n = dict.u64("model/scores/ntables")? as usize;
+        let mut tables = Vec::new();
+        for i in 0..n {
+            tables.push(dict.tensor(&format!("model/scores/table/{i}"))?.clone());
+        }
+        let context = if dict.contains("model/scores/context") {
+            Some(dict.tensor("model/scores/context")?.clone())
+        } else {
+            None
+        };
+        Ok(Some(Self { tables, context }))
     }
 }
 

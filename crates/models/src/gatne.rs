@@ -13,19 +13,20 @@
 //! table. This is the strongest published baseline and the runner-up in
 //! every table of the paper.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::{pairs_from_walk, NegativeSampler, Pair};
 use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{pair_batches, BatchLoss, PairExample, TrainStep};
+use mhg_train::{pair_batches, PairExample};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::common::{
-    CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
+    val_auc, CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
 };
+use crate::tape::{TapeModel, TapeStep};
 
 const NEIGHBOR_FAN: usize = 6;
 const BATCH: usize = 64;
@@ -36,20 +37,20 @@ pub struct Gatne {
     scores: EmbeddingScores,
 }
 
-pub(crate) struct GatneParams {
-    pub base: ParamId,
-    pub ctx: ParamId,
+struct GatneParams {
+    base: ParamId,
+    ctx: ParamId,
     /// Per relation: edge-embedding table (`N × d_e`).
-    pub edge: Vec<ParamId>,
+    edge: Vec<ParamId>,
     /// Per relation: attention projection (`d_e × d_a`) and vector (`d_a × 1`).
-    pub att_w: Vec<ParamId>,
-    pub att_v: Vec<ParamId>,
+    att_w: Vec<ParamId>,
+    att_v: Vec<ParamId>,
     /// Per relation: output projection (`d_e × d`).
-    pub proj: Vec<ParamId>,
+    proj: Vec<ParamId>,
 }
 
 /// Uniform random walk restricted to one relation-specific subgraph `g_r`.
-pub(crate) fn walk_in_relation<R: Rng + ?Sized>(
+fn walk_in_relation<R: Rng + ?Sized>(
     graph: &MultiplexGraph,
     r: RelationId,
     start: NodeId,
@@ -137,16 +138,20 @@ impl Gatne {
         };
         (params, p)
     }
+}
 
+/// GATNE on the tape: relation-specific center representations scored
+/// against the context table, per-relation table snapshot.
+struct GatneTape<'a> {
+    graph: &'a MultiplexGraph,
+    val: &'a [LabeledEdge],
+    p: GatneParams,
+}
+
+impl GatneTape<'_> {
     /// Relation-specific representation of `v` under `r` on the tape.
-    pub(crate) fn represent_node(
-        g: &mut Graph<'_>,
-        p: &GatneParams,
-        graph: &MultiplexGraph,
-        v: NodeId,
-        r: RelationId,
-        rng: &mut StdRng,
-    ) -> Var {
+    fn represent_node(&self, g: &mut Graph<'_>, v: NodeId, r: RelationId, rng: &mut StdRng) -> Var {
+        let (graph, p) = (self.graph, &self.p);
         // One aggregated edge embedding per relation s.
         let rows: Vec<Var> = graph
             .schema()
@@ -186,64 +191,24 @@ impl Gatne {
 
     /// Batched representations of `(node, relation)` pairs.
     fn represent_batch(
+        &self,
         g: &mut Graph<'_>,
-        p: &GatneParams,
-        graph: &MultiplexGraph,
         items: &[(NodeId, RelationId)],
         rng: &mut StdRng,
     ) -> Var {
         let rows: Vec<Var> = items
             .iter()
-            .map(|&(v, r)| Self::represent_node(g, p, graph, v, r, rng))
+            .map(|&(v, r)| self.represent_node(g, v, r, rng))
             .collect();
         g.concat_rows(&rows)
     }
-
-    /// Per-relation full inference tables.
-    fn full_inference(
-        params: &ParamStore,
-        p: &GatneParams,
-        graph: &MultiplexGraph,
-        rng: &mut StdRng,
-    ) -> Vec<Tensor> {
-        let dim = params.value(p.base).cols();
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        graph
-            .schema()
-            .relations()
-            .map(|r| {
-                let mut table = Tensor::zeros(nodes.len(), dim);
-                for (ci, chunk) in nodes.chunks(BATCH).enumerate() {
-                    let items: Vec<(NodeId, RelationId)> = chunk.iter().map(|&v| (v, r)).collect();
-                    let mut g = Graph::new(params);
-                    let rep = Self::represent_batch(&mut g, p, graph, &items, rng);
-                    for (i, row) in g.value(rep).rows_iter().enumerate() {
-                        table.set_row(ci * BATCH + i, row);
-                    }
-                }
-                table
-            })
-            .collect()
-    }
 }
 
-/// The `TrainStep` for GATNE: relation-specific center representations
-/// scored against the context table, per-relation table snapshot on
-/// improvement.
-struct GatneStep<'a> {
-    params: ParamStore,
-    p: GatneParams,
-    graph: &'a MultiplexGraph,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
-}
-
-impl TrainStep for GatneStep<'_> {
+impl TapeModel for GatneTape<'_> {
     type Batch = Vec<PairExample>;
+    type Snapshot = EmbeddingScores;
 
-    fn step(&mut self, batch: Vec<PairExample>, rng: &mut StdRng) -> BatchLoss {
+    fn loss(&self, g: &mut Graph<'_>, batch: Vec<PairExample>, rng: &mut StdRng) -> Var {
         let mut centers = Vec::with_capacity(batch.len());
         let mut targets: Vec<u32> = Vec::new();
         let mut labels: Vec<f32> = Vec::new();
@@ -259,10 +224,9 @@ impl TrainStep for GatneStep<'_> {
             }
             row_counts.push(1 + ex.negatives.len());
         }
-        let mut g = Graph::new(&self.params);
         // Each center representation is computed once and its tape row
         // reused for the positive and all its negatives.
-        let center_reps = Gatne::represent_batch(&mut g, &self.p, self.graph, &centers, rng);
+        let center_reps = self.represent_batch(g, &centers, rng);
         let mut expanded_rows = Vec::with_capacity(targets.len());
         for (ci, &count) in row_counts.iter().enumerate() {
             for _ in 0..count {
@@ -272,38 +236,33 @@ impl TrainStep for GatneStep<'_> {
         let left = g.concat_rows(&expanded_rows);
         let right = g.gather(self.p.ctx, &targets);
         let scores = g.row_dot(left, right);
-        let loss = g.logistic_loss(scores, &labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
+        g.logistic_loss(scores, &labels)
     }
 
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        let tables = Gatne::full_inference(&self.params, &self.p, self.graph, rng);
-        self.staged = EmbeddingScores::per_relation(tables)
-            .with_context(self.params.value(self.p.ctx).clone());
-        crate::common::val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+    /// Per-relation full inference tables, scored against the context table.
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, EmbeddingScores) {
+        let dim = params.value(self.p.base).cols();
+        let nodes: Vec<NodeId> = self.graph.nodes().collect();
+        let tables = self
+            .graph
+            .schema()
+            .relations()
+            .map(|r| {
+                let mut table = Tensor::zeros(nodes.len(), dim);
+                for (ci, chunk) in nodes.chunks(BATCH).enumerate() {
+                    let items: Vec<(NodeId, RelationId)> = chunk.iter().map(|&v| (v, r)).collect();
+                    let mut g = Graph::new(params);
+                    let rep = self.represent_batch(&mut g, &items, rng);
+                    for (i, row) in g.value(rep).rows_iter().enumerate() {
+                        table.set_row(ci * BATCH + i, row);
+                    }
+                }
+                table
+            })
+            .collect();
+        let scores =
+            EmbeddingScores::per_relation(tables).with_context(params.value(self.p.ctx).clone());
+        (val_auc(&scores, self.val), scores)
     }
 }
 
@@ -348,16 +307,15 @@ impl LinkPredictor for Gatne {
             ))
         };
 
-        let mut step = GatneStep {
-            params,
-            p,
+        let model = GatneTape {
             graph,
-            opt: Adam::new(cfg.lr.min(0.01)),
             val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
+            p,
         };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, cfg.lr);
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

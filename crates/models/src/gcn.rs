@@ -7,18 +7,19 @@
 //! with self-inclusion — the spatial approximation of the renormalised
 //! adjacency the paper's own mini-batch setting implies.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::NegativeSampler;
-use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_tensor::InitKind;
+use mhg_train::{edge_batches, EdgeBatch};
 use rand::rngs::StdRng;
 
 use crate::agg::mean_self_neighbors;
 use crate::common::{
     val_auc, CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
 };
+use crate::tape::{TapeModel, TapeStep};
 
 const FAN_OUT: usize = 10;
 const BATCH: usize = 256;
@@ -37,50 +38,25 @@ impl Gcn {
             scores: EmbeddingScores::default(),
         }
     }
-
-    /// Computes representations for `nodes` on a fresh tape.
-    fn represent(
-        params: &ParamStore,
-        emb: ParamId,
-        w1: ParamId,
-        graph: &mhg_graph::MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let mut g = Graph::new(params);
-        let agg = mean_self_neighbors(&mut g, emb, graph, nodes, FAN_OUT, rng);
-        let w = g.param(w1);
-        let lin = g.matmul(agg, w);
-        // tanh, not relu: a non-negative final layer could never score
-        // negative pairs below zero under a dot-product decoder.
-        let h = g.tanh(lin);
-        g.value(h).clone()
-    }
 }
 
-/// The `TrainStep` for GCN: one tape per [`EdgeBatch`], full-graph
-/// representation snapshot on improvement.
-struct GcnStep<'a> {
-    params: ParamStore,
+/// GCN on the tape: the link logistic loss per [`EdgeBatch`], and a
+/// full-graph representation snapshot.
+struct GcnTape<'a> {
+    graph: &'a MultiplexGraph,
+    val: &'a [LabeledEdge],
     emb: ParamId,
     w1: ParamId,
-    graph: &'a MultiplexGraph,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
 }
 
-impl TrainStep for GcnStep<'_> {
+impl TapeModel for GcnTape<'_> {
     type Batch = EdgeBatch;
+    type Snapshot = EmbeddingScores;
 
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
+    fn loss(&self, g: &mut Graph<'_>, batch: EdgeBatch, rng: &mut StdRng) -> Var {
         let w = g.param(self.w1);
-        let left_agg =
-            mean_self_neighbors(&mut g, self.emb, self.graph, &batch.lefts, FAN_OUT, rng);
-        let right_agg =
-            mean_self_neighbors(&mut g, self.emb, self.graph, &batch.rights, FAN_OUT, rng);
+        let left_agg = mean_self_neighbors(g, self.emb, self.graph, &batch.lefts, FAN_OUT, rng);
+        let right_agg = mean_self_neighbors(g, self.emb, self.graph, &batch.rights, FAN_OUT, rng);
         let hl = {
             let lin = g.matmul(left_agg, w);
             g.tanh(lin)
@@ -90,38 +66,20 @@ impl TrainStep for GcnStep<'_> {
             g.tanh(lin)
         };
         let scores = g.row_dot(hl, hr);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
+        g.logistic_loss(scores, &batch.labels)
     }
 
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, EmbeddingScores) {
         let all: Vec<NodeId> = self.graph.nodes().collect();
-        let table = Gcn::represent(&self.params, self.emb, self.w1, self.graph, &all, rng);
-        self.staged = EmbeddingScores::shared(table);
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        let mut g = Graph::new(params);
+        let agg = mean_self_neighbors(&mut g, self.emb, self.graph, &all, FAN_OUT, rng);
+        let w = g.param(self.w1);
+        let lin = g.matmul(agg, w);
+        // tanh, not relu: a non-negative final layer could never score
+        // negative pairs below zero under a dot-product decoder.
+        let h = g.tanh(lin);
+        let scores = EmbeddingScores::shared(g.value(h).clone());
+        (val_auc(&scores, self.val), scores)
     }
 }
 
@@ -146,34 +104,19 @@ impl LinkPredictor for Gcn {
         let w1 = params.register("w1", InitKind::XavierUniform.init(dim, dim, rng));
 
         let negatives = NegativeSampler::new(graph);
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
         let sample = |_epoch: usize, rng: &mut StdRng| {
-            Ok(edge_batches(
-                graph,
-                &negatives,
-                &edges,
-                cfg.negatives,
-                BATCH,
-                rng,
-            ))
+            Ok(edge_batches(graph, &negatives, cfg.negatives, BATCH, rng))
         };
-
-        let mut step = GcnStep {
-            params,
+        let model = GcnTape {
+            graph,
+            val: data.val,
             emb,
             w1,
-            graph,
-            opt: Adam::new(cfg.lr.min(0.01)),
-            val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
         };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, cfg.lr);
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

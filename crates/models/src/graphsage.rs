@@ -7,18 +7,19 @@
 //! Heterogeneity is ignored (flattened neighborhoods), per the paper's
 //! baseline protocol. Trained on the link logistic loss.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::NegativeSampler;
 use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_train::{edge_batches, EdgeBatch};
 use rand::rngs::StdRng;
 
 use crate::agg::{mean_self_neighbors, sample_merged_neighbors};
 use crate::common::{
     val_auc, CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
 };
+use crate::tape::{TapeModel, TapeStep};
 
 const FAN_OUT_1: usize = 6;
 const FAN_OUT_2: usize = 4;
@@ -30,14 +31,6 @@ pub struct GraphSage {
     scores: EmbeddingScores,
 }
 
-struct SageParams {
-    emb: ParamId,
-    w_self1: ParamId,
-    w_neigh1: ParamId,
-    w_self2: ParamId,
-    w_neigh2: ParamId,
-}
-
 impl GraphSage {
     /// Creates an untrained model.
     pub fn new(config: CommonConfig) -> Self {
@@ -46,20 +39,28 @@ impl GraphSage {
             scores: EmbeddingScores::default(),
         }
     }
+}
 
+/// GraphSage on the tape: two-layer sampled aggregation per [`EdgeBatch`],
+/// full-graph representation snapshot.
+struct SageTape<'a> {
+    graph: &'a MultiplexGraph,
+    val: &'a [LabeledEdge],
+    emb: ParamId,
+    w_self1: ParamId,
+    w_neigh1: ParamId,
+    w_self2: ParamId,
+    w_neigh2: ParamId,
+}
+
+impl SageTape<'_> {
     /// Layer-1 representation of `nodes` (an `n × d` variable).
-    fn layer1(
-        g: &mut Graph<'_>,
-        p: &SageParams,
-        graph: &MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Var {
+    fn layer1(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
         let ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
-        let self_emb = g.gather(p.emb, &ids);
-        let neigh = mean_self_neighbors(g, p.emb, graph, nodes, FAN_OUT_1, rng);
-        let ws = g.param(p.w_self1);
-        let wn = g.param(p.w_neigh1);
+        let self_emb = g.gather(self.emb, &ids);
+        let neigh = mean_self_neighbors(g, self.emb, self.graph, nodes, FAN_OUT_1, rng);
+        let ws = g.param(self.w_self1);
+        let wn = g.param(self.w_neigh1);
         let a = g.matmul(self_emb, ws);
         let b = g.matmul(neigh, wn);
         let sum = g.add(a, b);
@@ -67,115 +68,56 @@ impl GraphSage {
     }
 
     /// Two-layer representation of `nodes`.
-    fn represent_on(
-        g: &mut Graph<'_>,
-        p: &SageParams,
-        graph: &MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Var {
+    fn represent_on(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
         // h¹ of the nodes themselves.
-        let h1_self = Self::layer1(g, p, graph, nodes, rng);
+        let h1_self = self.layer1(g, nodes, rng);
         // h¹ of each node's sampled neighborhood, mean-pooled per node.
         let rows: Vec<Var> = nodes
             .iter()
             .map(|&v| {
-                let mut hood = sample_merged_neighbors(graph, v, FAN_OUT_2, rng);
+                let mut hood = sample_merged_neighbors(self.graph, v, FAN_OUT_2, rng);
                 if hood.is_empty() {
                     hood.push(v); // isolated: fall back to self
                 }
-                let reps = Self::layer1(g, p, graph, &hood, rng);
+                let reps = self.layer1(g, &hood, rng);
                 g.mean_rows(reps)
             })
             .collect();
         let h1_neigh = g.concat_rows(&rows);
-        let ws = g.param(p.w_self2);
-        let wn = g.param(p.w_neigh2);
+        let ws = g.param(self.w_self2);
+        let wn = g.param(self.w_neigh2);
         let a = g.matmul(h1_self, ws);
         let b = g.matmul(h1_neigh, wn);
         let sum = g.add(a, b);
         // Final layer is tanh so dot-product scores can be negative.
         g.tanh(sum)
     }
+}
 
-    fn represent(
-        params: &ParamStore,
-        p: &SageParams,
-        graph: &MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Tensor {
+impl TapeModel for SageTape<'_> {
+    type Batch = EdgeBatch;
+    type Snapshot = EmbeddingScores;
+
+    fn loss(&self, g: &mut Graph<'_>, batch: EdgeBatch, rng: &mut StdRng) -> Var {
+        let hl = self.represent_on(g, &batch.lefts, rng);
+        let hr = self.represent_on(g, &batch.rights, rng);
+        let scores = g.row_dot(hl, hr);
+        g.logistic_loss(scores, &batch.labels)
+    }
+
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, EmbeddingScores) {
+        let nodes: Vec<NodeId> = self.graph.nodes().collect();
         // Chunk so tapes stay small.
-        let mut out = Tensor::zeros(nodes.len(), params.value(p.w_self2).cols());
+        let mut out = Tensor::zeros(nodes.len(), params.value(self.w_self2).cols());
         for (chunk_idx, chunk) in nodes.chunks(BATCH).enumerate() {
             let mut g = Graph::new(params);
-            let rep = Self::represent_on(&mut g, p, graph, chunk, rng);
-            let val = g.value(rep);
-            for (i, row) in val.rows_iter().enumerate() {
+            let rep = self.represent_on(&mut g, chunk, rng);
+            for (i, row) in g.value(rep).rows_iter().enumerate() {
                 out.set_row(chunk_idx * BATCH + i, row);
             }
         }
-        out
-    }
-}
-
-/// The `TrainStep` for GraphSage: two-layer sampled aggregation per
-/// [`EdgeBatch`], full-graph representation snapshot on improvement.
-struct SageStep<'a> {
-    params: ParamStore,
-    p: SageParams,
-    graph: &'a MultiplexGraph,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
-}
-
-impl TrainStep for SageStep<'_> {
-    type Batch = EdgeBatch;
-
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
-        let hl = GraphSage::represent_on(&mut g, &self.p, self.graph, &batch.lefts, rng);
-        let hr = GraphSage::represent_on(&mut g, &self.p, self.graph, &batch.rights, rng);
-        let scores = g.row_dot(hl, hr);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
-    }
-
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        let all: Vec<NodeId> = self.graph.nodes().collect();
-        self.staged = EmbeddingScores::shared(GraphSage::represent(
-            &self.params,
-            &self.p,
-            self.graph,
-            &all,
-            rng,
-        ));
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        let scores = EmbeddingScores::shared(out);
+        (val_auc(&scores, self.val), scores)
     }
 }
 
@@ -190,7 +132,9 @@ impl LinkPredictor for GraphSage {
         let dim = cfg.dim;
 
         let mut params = ParamStore::new();
-        let p = SageParams {
+        let model = SageTape {
+            graph,
+            val: data.val,
             emb: params.register(
                 "emb",
                 InitKind::Uniform {
@@ -205,33 +149,19 @@ impl LinkPredictor for GraphSage {
         };
 
         let negatives = NegativeSampler::new(graph);
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
         let sample = |_epoch: usize, rng: &mut StdRng| {
             Ok(edge_batches(
                 graph,
                 &negatives,
-                &edges,
                 cfg.negatives.min(2),
                 BATCH,
                 rng,
             ))
         };
-
-        let mut step = SageStep {
-            params,
-            p,
-            graph,
-            opt: Adam::new(cfg.lr.min(0.01)),
-            val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
-        };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, cfg.lr);
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

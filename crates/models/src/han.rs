@@ -7,18 +7,19 @@
 //! embedding per node, used for every relation — exactly the limitation the
 //! paper's Table III records.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Graph, ParamStore, Var};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{MetapathScheme, MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::{MetapathNeighborSampler, NegativeSampler};
-use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_tensor::Tensor;
+use mhg_train::{edge_batches, EdgeBatch};
 use rand::rngs::StdRng;
 
-use crate::attention::{dot_attention_pool, semantic_attention};
+use crate::attention::{dot_attention_pool, flattened_schemes, SchemeParams};
 use crate::common::{
     val_auc, CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
 };
+use crate::tape::{TapeModel, TapeStep};
 
 const FAN_OUT: usize = 4;
 const MAX_LAYER: usize = 12;
@@ -31,15 +32,6 @@ pub struct Han {
     scores: EmbeddingScores,
 }
 
-struct HanParams {
-    emb: ParamId,
-    /// One projection per metapath scheme, plus a trailing self-projection.
-    w_scheme: Vec<ParamId>,
-    w_sem: ParamId,
-    b_sem: ParamId,
-    q_sem: ParamId,
-}
-
 impl Han {
     /// Creates an untrained model.
     pub fn new(config: CommonConfig) -> Self {
@@ -48,34 +40,25 @@ impl Han {
             scores: EmbeddingScores::default(),
         }
     }
+}
 
-    /// All schemes: Table II shapes instantiated under every relation
-    /// (HAN flattens multiplexity, so all instantiations feed one node
-    /// embedding).
-    fn schemes(data: &FitData<'_>) -> Vec<MetapathScheme> {
-        let mut out = Vec::new();
-        for shape in data.metapath_shapes {
-            for r in data.graph.schema().relations() {
-                out.push(MetapathScheme::intra(shape.clone(), r));
-            }
-        }
-        out
-    }
+/// HAN on the tape: hierarchical attention per [`EdgeBatch`], full-graph
+/// representation snapshot.
+struct HanTape<'a> {
+    graph: &'a MultiplexGraph,
+    val: &'a [LabeledEdge],
+    schemes: Vec<MetapathScheme>,
+    p: SchemeParams,
+}
 
+impl HanTape<'_> {
     /// Representation of one node on the tape.
-    fn represent_node(
-        g: &mut Graph<'_>,
-        p: &HanParams,
-        graph: &MultiplexGraph,
-        schemes: &[MetapathScheme],
-        v: NodeId,
-        rng: &mut StdRng,
-    ) -> Var {
-        let sampler = MetapathNeighborSampler::new(graph, FAN_OUT, MAX_LAYER);
-        let mut z_rows: Vec<Var> = Vec::with_capacity(schemes.len() + 1);
+    fn represent_node(&self, g: &mut Graph<'_>, v: NodeId, rng: &mut StdRng) -> Var {
+        let sampler = MetapathNeighborSampler::new(self.graph, FAN_OUT, MAX_LAYER);
+        let mut z_rows: Vec<Var> = Vec::with_capacity(self.schemes.len() + 1);
 
-        for (si, scheme) in schemes.iter().enumerate() {
-            if graph.node_type(v) != scheme.source_type() {
+        for (si, scheme) in self.schemes.iter().enumerate() {
+            if self.graph.node_type(v) != scheme.source_type() {
                 continue;
             }
             let layers = sampler.sample(v, scheme, rng);
@@ -86,133 +69,48 @@ impl Han {
             if ids.is_empty() {
                 continue;
             }
-            let w = g.param(p.w_scheme[si]);
-            let self_emb = g.gather(p.emb, &[v.0]);
+            let w = g.param(self.p.w_scheme[si]);
+            let self_emb = g.gather(self.p.emb, &[v.0]);
             let query = g.matmul(self_emb, w);
-            let neigh = g.gather(p.emb, &ids);
+            let neigh = g.gather(self.p.emb, &ids);
             let keys = g.matmul(neigh, w);
             z_rows.push(dot_attention_pool(g, query, keys));
         }
-
-        // Always include the projected self so every node has ≥1 summary.
-        {
-            let w = g.param(*p.w_scheme.last().unwrap());
-            let self_emb = g.gather(p.emb, &[v.0]);
-            z_rows.push(g.matmul(self_emb, w));
-        }
-
-        let z = g.concat_rows(&z_rows);
-        let (pooled, _) = semantic_attention(g, z, p.w_sem, p.b_sem, p.q_sem);
-        pooled
+        self.p.pool_with_self(g, z_rows, v)
     }
 
-    fn represent_batch(
-        g: &mut Graph<'_>,
-        p: &HanParams,
-        graph: &MultiplexGraph,
-        schemes: &[MetapathScheme],
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Var {
+    fn represent_batch(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
         let rows: Vec<Var> = nodes
             .iter()
-            .map(|&v| Self::represent_node(g, p, graph, schemes, v, rng))
+            .map(|&v| self.represent_node(g, v, rng))
             .collect();
         g.concat_rows(&rows)
     }
+}
 
-    fn full_inference(
-        params: &ParamStore,
-        p: &HanParams,
-        graph: &MultiplexGraph,
-        schemes: &[MetapathScheme],
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let dim = params.value(p.emb).cols();
-        let mut out = Tensor::zeros(nodes.len(), dim);
+impl TapeModel for HanTape<'_> {
+    type Batch = EdgeBatch;
+    type Snapshot = EmbeddingScores;
+
+    fn loss(&self, g: &mut Graph<'_>, batch: EdgeBatch, rng: &mut StdRng) -> Var {
+        let hl = self.represent_batch(g, &batch.lefts, rng);
+        let hr = self.represent_batch(g, &batch.rights, rng);
+        let scores = g.row_dot(hl, hr);
+        g.logistic_loss(scores, &batch.labels)
+    }
+
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, EmbeddingScores) {
+        let nodes: Vec<NodeId> = self.graph.nodes().collect();
+        let mut out = Tensor::zeros(nodes.len(), params.value(self.p.emb).cols());
         for (ci, chunk) in nodes.chunks(BATCH).enumerate() {
             let mut g = Graph::new(params);
-            let rep = Self::represent_batch(&mut g, p, graph, schemes, chunk, rng);
+            let rep = self.represent_batch(&mut g, chunk, rng);
             for (i, row) in g.value(rep).rows_iter().enumerate() {
                 out.set_row(ci * BATCH + i, row);
             }
         }
-        out
-    }
-}
-
-/// The `TrainStep` for HAN: hierarchical attention per [`EdgeBatch`],
-/// full-graph representation snapshot on improvement.
-struct HanStep<'a> {
-    params: ParamStore,
-    p: HanParams,
-    graph: &'a MultiplexGraph,
-    schemes: Vec<MetapathScheme>,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
-}
-
-impl TrainStep for HanStep<'_> {
-    type Batch = EdgeBatch;
-
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
-        let hl = Han::represent_batch(
-            &mut g,
-            &self.p,
-            self.graph,
-            &self.schemes,
-            &batch.lefts,
-            rng,
-        );
-        let hr = Han::represent_batch(
-            &mut g,
-            &self.p,
-            self.graph,
-            &self.schemes,
-            &batch.rights,
-            rng,
-        );
-        let scores = g.row_dot(hl, hr);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
-    }
-
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        self.staged = EmbeddingScores::shared(Han::full_inference(
-            &self.params,
-            &self.p,
-            self.graph,
-            &self.schemes,
-            rng,
-        ));
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        let scores = EmbeddingScores::shared(out);
+        (val_auc(&scores, self.val), scores)
     }
 }
 
@@ -224,61 +122,29 @@ impl LinkPredictor for Han {
     fn fit(&mut self, data: &FitData<'_>, rng: &mut StdRng) -> Result<TrainReport, TrainError> {
         let graph = data.graph;
         let cfg = &self.config;
-        let dim = cfg.dim;
-        let schemes = Self::schemes(data);
-        let ds = (dim / 2).max(8);
-
+        let schemes = flattened_schemes(data);
         let mut params = ParamStore::new();
-        let p = HanParams {
-            emb: params.register(
-                "emb",
-                InitKind::Uniform {
-                    limit: 0.5 / dim as f32,
-                }
-                .init(graph.num_nodes(), dim, rng),
-            ),
-            w_scheme: (0..=schemes.len())
-                .map(|i| {
-                    params.register(
-                        format!("w_p{i}"),
-                        InitKind::XavierUniform.init(dim, dim, rng),
-                    )
-                })
-                .collect(),
-            w_sem: params.register("w_sem", InitKind::XavierUniform.init(dim, ds, rng)),
-            b_sem: params.register("b_sem", Tensor::zeros(1, ds)),
-            q_sem: params.register("q_sem", InitKind::XavierUniform.init(ds, 1, rng)),
-        };
+        let p = SchemeParams::register(&mut params, graph.num_nodes(), cfg.dim, schemes.len(), rng);
         let negatives = NegativeSampler::new(graph);
-
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
         let sample = |_epoch: usize, rng: &mut StdRng| {
             Ok(edge_batches(
                 graph,
                 &negatives,
-                &edges,
                 cfg.negatives.min(2),
                 BATCH,
                 rng,
             ))
         };
-
-        let mut step = HanStep {
-            params,
-            p,
+        let model = HanTape {
             graph,
-            schemes,
-            opt: Adam::new(cfg.lr.min(0.01)),
             val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
+            schemes,
+            p,
         };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, cfg.lr);
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

@@ -11,7 +11,9 @@
 //! | multiplex heterogeneous GNN | [`RGcn`], [`Gatne`] |
 //!
 //! All models train on the same [`FitData`] (training graph + validation
-//! edges) and produce relation-aware dot-product scores.
+//! edges) and produce relation-aware dot-product scores. The autograd
+//! models (and HybridGNN) train through one [`TapeStep`], supplying only
+//! a [`TapeModel`]: their loss on the tape and their full-graph snapshot.
 
 mod agg;
 mod attention;
@@ -27,6 +29,7 @@ mod magnn;
 mod node2vec;
 mod rgcn;
 mod sgns;
+mod tape;
 
 pub use common::{
     pair_budget, val_auc, CommonConfig, EarlyStopper, EmbeddingScores, EventValue, FitData,
@@ -44,3 +47,4 @@ pub use magnn::Magnn;
 pub use node2vec::Node2Vec;
 pub use rgcn::RGcn;
 pub use sgns::Sgns;
+pub use tape::{TapeModel, TapeStep};

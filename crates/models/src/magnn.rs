@@ -8,19 +8,20 @@
 //! mean-encoder variant of the original paper (its relational-rotation
 //! encoder changes constants, not the comparison the tables make).
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Graph, ParamStore, Var};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{MetapathScheme, MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::NegativeSampler;
-use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_tensor::Tensor;
+use mhg_train::{edge_batches, EdgeBatch};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::attention::{dot_attention_pool, semantic_attention};
+use crate::attention::{dot_attention_pool, flattened_schemes, SchemeParams};
 use crate::common::{
     val_auc, CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
 };
+use crate::tape::{TapeModel, TapeStep};
 
 const INSTANCES_PER_SCHEME: usize = 5;
 const BATCH: usize = 96;
@@ -29,14 +30,6 @@ const BATCH: usize = 96;
 pub struct Magnn {
     config: CommonConfig,
     scores: EmbeddingScores,
-}
-
-struct MagnnParams {
-    emb: ParamId,
-    w_scheme: Vec<ParamId>,
-    w_sem: ParamId,
-    b_sem: ParamId,
-    q_sem: ParamId,
 }
 
 /// Samples one complete metapath instance starting at `v`, or `None` if the
@@ -77,169 +70,78 @@ impl Magnn {
             scores: EmbeddingScores::default(),
         }
     }
+}
 
-    fn schemes(data: &FitData<'_>) -> Vec<MetapathScheme> {
-        let mut out = Vec::new();
-        for shape in data.metapath_shapes {
-            for r in data.graph.schema().relations() {
-                out.push(MetapathScheme::intra(shape.clone(), r));
-            }
-        }
-        out
-    }
+/// MAGNN on the tape: metapath-instance attention per [`EdgeBatch`],
+/// full-graph representation snapshot.
+struct MagnnTape<'a> {
+    graph: &'a MultiplexGraph,
+    val: &'a [LabeledEdge],
+    schemes: Vec<MetapathScheme>,
+    p: SchemeParams,
+}
 
-    fn represent_node(
-        g: &mut Graph<'_>,
-        p: &MagnnParams,
-        graph: &MultiplexGraph,
-        schemes: &[MetapathScheme],
-        v: NodeId,
-        rng: &mut StdRng,
-    ) -> Var {
-        let mut z_rows: Vec<Var> = Vec::with_capacity(schemes.len() + 1);
+impl MagnnTape<'_> {
+    fn represent_node(&self, g: &mut Graph<'_>, v: NodeId, rng: &mut StdRng) -> Var {
+        let mut z_rows: Vec<Var> = Vec::with_capacity(self.schemes.len() + 1);
 
-        for (si, scheme) in schemes.iter().enumerate() {
+        for (si, scheme) in self.schemes.iter().enumerate() {
             // Encode each sampled instance as the mean of its node
             // embeddings (intermediate nodes included — MAGNN's point).
             let mut instance_rows: Vec<Var> = Vec::new();
             for _ in 0..INSTANCES_PER_SCHEME {
-                let Some(path) = sample_instance(graph, scheme, v, rng) else {
+                let Some(path) = sample_instance(self.graph, scheme, v, rng) else {
                     continue;
                 };
                 let ids: Vec<u32> = path.iter().map(|n| n.0).collect();
-                let gathered = g.gather(p.emb, &ids);
+                let gathered = g.gather(self.p.emb, &ids);
                 instance_rows.push(g.mean_rows(gathered));
             }
             if instance_rows.is_empty() {
                 continue;
             }
-            let w = g.param(p.w_scheme[si]);
+            let w = g.param(self.p.w_scheme[si]);
             let instances = g.concat_rows(&instance_rows);
             let keys = g.matmul(instances, w);
-            let self_emb = g.gather(p.emb, &[v.0]);
+            let self_emb = g.gather(self.p.emb, &[v.0]);
             let query = g.matmul(self_emb, w);
             z_rows.push(dot_attention_pool(g, query, keys));
         }
-
-        // Projected self row guarantees a non-empty stack.
-        {
-            let w = g.param(*p.w_scheme.last().unwrap());
-            let self_emb = g.gather(p.emb, &[v.0]);
-            z_rows.push(g.matmul(self_emb, w));
-        }
-
-        let z = g.concat_rows(&z_rows);
-        let (pooled, _) = semantic_attention(g, z, p.w_sem, p.b_sem, p.q_sem);
-        pooled
+        self.p.pool_with_self(g, z_rows, v)
     }
 
-    fn represent_batch(
-        g: &mut Graph<'_>,
-        p: &MagnnParams,
-        graph: &MultiplexGraph,
-        schemes: &[MetapathScheme],
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Var {
+    fn represent_batch(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
         let rows: Vec<Var> = nodes
             .iter()
-            .map(|&v| Self::represent_node(g, p, graph, schemes, v, rng))
+            .map(|&v| self.represent_node(g, v, rng))
             .collect();
         g.concat_rows(&rows)
     }
+}
 
-    fn full_inference(
-        params: &ParamStore,
-        p: &MagnnParams,
-        graph: &MultiplexGraph,
-        schemes: &[MetapathScheme],
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let dim = params.value(p.emb).cols();
-        let mut out = Tensor::zeros(nodes.len(), dim);
+impl TapeModel for MagnnTape<'_> {
+    type Batch = EdgeBatch;
+    type Snapshot = EmbeddingScores;
+
+    fn loss(&self, g: &mut Graph<'_>, batch: EdgeBatch, rng: &mut StdRng) -> Var {
+        let hl = self.represent_batch(g, &batch.lefts, rng);
+        let hr = self.represent_batch(g, &batch.rights, rng);
+        let scores = g.row_dot(hl, hr);
+        g.logistic_loss(scores, &batch.labels)
+    }
+
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, EmbeddingScores) {
+        let nodes: Vec<NodeId> = self.graph.nodes().collect();
+        let mut out = Tensor::zeros(nodes.len(), params.value(self.p.emb).cols());
         for (ci, chunk) in nodes.chunks(BATCH).enumerate() {
             let mut g = Graph::new(params);
-            let rep = Self::represent_batch(&mut g, p, graph, schemes, chunk, rng);
+            let rep = self.represent_batch(&mut g, chunk, rng);
             for (i, row) in g.value(rep).rows_iter().enumerate() {
                 out.set_row(ci * BATCH + i, row);
             }
         }
-        out
-    }
-}
-
-/// The `TrainStep` for MAGNN: metapath-instance attention per [`EdgeBatch`],
-/// full-graph representation snapshot on improvement.
-struct MagnnStep<'a> {
-    params: ParamStore,
-    p: MagnnParams,
-    graph: &'a MultiplexGraph,
-    schemes: Vec<MetapathScheme>,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
-}
-
-impl TrainStep for MagnnStep<'_> {
-    type Batch = EdgeBatch;
-
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
-        let hl = Magnn::represent_batch(
-            &mut g,
-            &self.p,
-            self.graph,
-            &self.schemes,
-            &batch.lefts,
-            rng,
-        );
-        let hr = Magnn::represent_batch(
-            &mut g,
-            &self.p,
-            self.graph,
-            &self.schemes,
-            &batch.rights,
-            rng,
-        );
-        let scores = g.row_dot(hl, hr);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
-    }
-
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        self.staged = EmbeddingScores::shared(Magnn::full_inference(
-            &self.params,
-            &self.p,
-            self.graph,
-            &self.schemes,
-            rng,
-        ));
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        let scores = EmbeddingScores::shared(out);
+        (val_auc(&scores, self.val), scores)
     }
 }
 
@@ -251,61 +153,29 @@ impl LinkPredictor for Magnn {
     fn fit(&mut self, data: &FitData<'_>, rng: &mut StdRng) -> Result<TrainReport, TrainError> {
         let graph = data.graph;
         let cfg = &self.config;
-        let dim = cfg.dim;
-        let schemes = Self::schemes(data);
-        let ds = (dim / 2).max(8);
-
+        let schemes = flattened_schemes(data);
         let mut params = ParamStore::new();
-        let p = MagnnParams {
-            emb: params.register(
-                "emb",
-                InitKind::Uniform {
-                    limit: 0.5 / dim as f32,
-                }
-                .init(graph.num_nodes(), dim, rng),
-            ),
-            w_scheme: (0..=schemes.len())
-                .map(|i| {
-                    params.register(
-                        format!("w_p{i}"),
-                        InitKind::XavierUniform.init(dim, dim, rng),
-                    )
-                })
-                .collect(),
-            w_sem: params.register("w_sem", InitKind::XavierUniform.init(dim, ds, rng)),
-            b_sem: params.register("b_sem", Tensor::zeros(1, ds)),
-            q_sem: params.register("q_sem", InitKind::XavierUniform.init(ds, 1, rng)),
-        };
+        let p = SchemeParams::register(&mut params, graph.num_nodes(), cfg.dim, schemes.len(), rng);
         let negatives = NegativeSampler::new(graph);
-
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
         let sample = |_epoch: usize, rng: &mut StdRng| {
             Ok(edge_batches(
                 graph,
                 &negatives,
-                &edges,
                 cfg.negatives.min(2),
                 BATCH,
                 rng,
             ))
         };
-
-        let mut step = MagnnStep {
-            params,
-            p,
+        let model = MagnnTape {
             graph,
-            schemes,
-            opt: Adam::new(cfg.lr.min(0.01)),
             val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
+            schemes,
+            p,
         };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, cfg.lr);
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

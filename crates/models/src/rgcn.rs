@@ -8,16 +8,18 @@
 //! negatives, exactly the encoder/decoder split the original paper uses for
 //! link prediction.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
+use mhg_ckpt::{CkptError, StateDict};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::NegativeSampler;
 use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_train::{edge_batches, EdgeBatch, Snapshot};
 use rand::rngs::StdRng;
 
 use crate::agg::{gather_nodes, mean_relation_neighbors};
 use crate::common::{CommonConfig, FitData, LinkPredictor, TrainError, TrainReport};
+use crate::tape::{TapeModel, TapeStep};
 
 const FAN_OUT: usize = 8;
 const BATCH: usize = 256;
@@ -25,17 +27,33 @@ const BATCH: usize = 256;
 /// The R-GCN baseline.
 pub struct RGcn {
     config: CommonConfig,
-    /// Final node representations (`N × d`).
-    node_reps: Option<Tensor>,
-    /// DistMult relation diagonals (`L × d`).
-    relation_diag: Option<Tensor>,
+    snapshot: Option<RgcnSnapshot>,
 }
 
-struct RgcnParams {
-    emb: ParamId,
-    w_self: ParamId,
-    w_rel: Vec<ParamId>,
-    rel_diag: ParamId,
+/// What a fitted R-GCN scores with, checkpointed under `model/node_reps`
+/// and `model/diag_snap`.
+struct RgcnSnapshot {
+    /// Final node representations (`N × d`).
+    node_reps: Tensor,
+    /// DistMult relation diagonals (`L × d`).
+    relation_diag: Tensor,
+}
+
+impl Snapshot for RgcnSnapshot {
+    fn export_state(&self, dict: &mut StateDict) {
+        dict.put_tensor("model/node_reps", self.node_reps.clone());
+        dict.put_tensor("model/diag_snap", self.relation_diag.clone());
+    }
+
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+        if !dict.contains("model/node_reps") {
+            return Ok(None);
+        }
+        Ok(Some(Self {
+            node_reps: dict.tensor("model/node_reps")?.clone(),
+            relation_diag: dict.tensor("model/diag_snap")?.clone(),
+        }))
+    }
 }
 
 impl RGcn {
@@ -43,152 +61,83 @@ impl RGcn {
     pub fn new(config: CommonConfig) -> Self {
         Self {
             config,
-            node_reps: None,
-            relation_diag: None,
+            snapshot: None,
         }
     }
+}
 
+/// R-GCN on the tape: relational convolution + DistMult decoding per
+/// [`EdgeBatch`], (representations, diagonal) snapshot.
+struct RgcnTape<'a> {
+    graph: &'a MultiplexGraph,
+    val: &'a [LabeledEdge],
+    emb: ParamId,
+    w_self: ParamId,
+    w_rel: Vec<ParamId>,
+    rel_diag: ParamId,
+}
+
+impl RgcnTape<'_> {
     /// Encoder representation of `nodes` on the tape.
-    fn represent_on(
-        g: &mut Graph<'_>,
-        p: &RgcnParams,
-        graph: &MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Var {
-        let self_emb = gather_nodes(g, p.emb, nodes);
-        let w0 = g.param(p.w_self);
+    fn represent_on(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
+        let self_emb = gather_nodes(g, self.emb, nodes);
+        let w0 = g.param(self.w_self);
         let mut acc = g.matmul(self_emb, w0);
-        for r in graph.schema().relations() {
-            let neigh = mean_relation_neighbors(g, p.emb, graph, nodes, r, FAN_OUT, rng);
-            let wr = g.param(p.w_rel[r.index()]);
+        for r in self.graph.schema().relations() {
+            let neigh = mean_relation_neighbors(g, self.emb, self.graph, nodes, r, FAN_OUT, rng);
+            let wr = g.param(self.w_rel[r.index()]);
             let proj = g.matmul(neigh, wr);
             acc = g.add(acc, proj);
         }
         // tanh keeps the DistMult decoder sign-expressive.
         g.tanh(acc)
     }
+}
 
-    /// DistMult scores for aligned `(hl, hr)` rows under per-row relations.
-    fn distmult_on(
-        g: &mut Graph<'_>,
-        p: &RgcnParams,
-        hl: Var,
-        hr: Var,
-        relations: &[RelationId],
-    ) -> Var {
-        let rel_ids: Vec<u32> = relations.iter().map(|r| r.0 as u32).collect();
-        let diag = g.gather(p.rel_diag, &rel_ids);
+impl TapeModel for RgcnTape<'_> {
+    type Batch = EdgeBatch;
+    type Snapshot = RgcnSnapshot;
+
+    fn loss(&self, g: &mut Graph<'_>, batch: EdgeBatch, rng: &mut StdRng) -> Var {
+        let hl = self.represent_on(g, &batch.lefts, rng);
+        let hr = self.represent_on(g, &batch.rights, rng);
+        // DistMult scores for the aligned (hl, hr) rows.
+        let rel_ids: Vec<u32> = batch.relations.iter().map(|r| r.0 as u32).collect();
+        let diag = g.gather(self.rel_diag, &rel_ids);
         let weighted = g.mul(hl, diag);
-        g.row_dot(weighted, hr)
+        let scores = g.row_dot(weighted, hr);
+        g.logistic_loss(scores, &batch.labels)
     }
 
-    fn full_inference(
-        params: &ParamStore,
-        p: &RgcnParams,
-        graph: &MultiplexGraph,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let dim = params.value(p.w_self).cols();
-        let mut out = Tensor::zeros(nodes.len(), dim);
+    fn eval(&self, params: &ParamStore, rng: &mut StdRng) -> (f64, RgcnSnapshot) {
+        let nodes: Vec<NodeId> = self.graph.nodes().collect();
+        let mut node_reps = Tensor::zeros(nodes.len(), params.value(self.w_self).cols());
         for (chunk_idx, chunk) in nodes.chunks(BATCH).enumerate() {
             let mut g = Graph::new(params);
-            let rep = Self::represent_on(&mut g, p, graph, chunk, rng);
+            let rep = self.represent_on(&mut g, chunk, rng);
             for (i, row) in g.value(rep).rows_iter().enumerate() {
-                out.set_row(chunk_idx * BATCH + i, row);
+                node_reps.set_row(chunk_idx * BATCH + i, row);
             }
         }
-        out
+        let snap = RgcnSnapshot {
+            node_reps,
+            relation_diag: params.value(self.rel_diag).clone(),
+        };
+        (snapshot_auc(&snap, self.val), snap)
     }
 }
 
-/// Validation ROC-AUC of a (representations, DistMult diagonal) snapshot.
-fn snapshot_auc(reps: &Tensor, diag: &Tensor, val: &[LabeledEdge]) -> f64 {
+/// Validation ROC-AUC of a snapshot.
+fn snapshot_auc(snap: &RgcnSnapshot, val: &[LabeledEdge]) -> f64 {
     if val.is_empty() {
         return 0.5;
     }
     let scores: Vec<f32> = val
         .iter()
-        .map(|e| distmult_score(reps, diag, e.u, e.v, e.relation))
+        .map(|e| distmult_score(&snap.node_reps, &snap.relation_diag, e.u, e.v, e.relation))
         .collect();
     let labels: Vec<bool> = val.iter().map(|e| e.label).collect();
     mhg_eval::roc_auc(&scores, &labels)
-}
-
-/// The `TrainStep` for R-GCN: relational convolution + DistMult decoding per
-/// [`EdgeBatch`], (representations, diagonal) snapshot on improvement.
-struct RgcnStep<'a> {
-    params: ParamStore,
-    p: RgcnParams,
-    graph: &'a MultiplexGraph,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    node_reps: &'a mut Option<Tensor>,
-    relation_diag: &'a mut Option<Tensor>,
-    staged: Option<(Tensor, Tensor)>,
-}
-
-impl TrainStep for RgcnStep<'_> {
-    type Batch = EdgeBatch;
-
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
-        let hl = RGcn::represent_on(&mut g, &self.p, self.graph, &batch.lefts, rng);
-        let hr = RGcn::represent_on(&mut g, &self.p, self.graph, &batch.rights, rng);
-        let scores = RGcn::distmult_on(&mut g, &self.p, hl, hr, &batch.relations);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
-    }
-
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        let reps = RGcn::full_inference(&self.params, &self.p, self.graph, rng);
-        let diag = self.params.value(self.p.rel_diag).clone();
-        let auc = snapshot_auc(&reps, &diag, self.val);
-        self.staged = Some((reps, diag));
-        auc
-    }
-
-    fn promote(&mut self) {
-        if let Some((reps, diag)) = self.staged.take() {
-            *self.node_reps = Some(reps);
-            *self.relation_diag = Some(diag);
-        }
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.node_reps.is_some()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        if let Some(reps) = self.node_reps.as_ref() {
-            dict.put_tensor("model/node_reps", reps.clone());
-        }
-        if let Some(diag) = self.relation_diag.as_ref() {
-            dict.put_tensor("model/diag_snap", diag.clone());
-        }
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        *self.node_reps = if dict.contains("model/node_reps") {
-            Some(dict.tensor("model/node_reps")?.clone())
-        } else {
-            None
-        };
-        *self.relation_diag = if dict.contains("model/diag_snap") {
-            Some(dict.tensor("model/diag_snap")?.clone())
-        } else {
-            None
-        };
-        Ok(())
-    }
 }
 
 fn distmult_score(reps: &Tensor, diag: &Tensor, u: NodeId, v: NodeId, r: RelationId) -> f32 {
@@ -212,7 +161,9 @@ impl LinkPredictor for RGcn {
         let num_rel = graph.schema().num_relations();
 
         let mut params = ParamStore::new();
-        let p = RgcnParams {
+        let model = RgcnTape {
+            graph,
+            val: data.val,
             emb: params.register(
                 "emb",
                 InitKind::Uniform {
@@ -235,41 +186,24 @@ impl LinkPredictor for RGcn {
             ),
         };
         let negatives = NegativeSampler::new(graph);
-
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
         let sample = |_epoch: usize, rng: &mut StdRng| {
             Ok(edge_batches(
                 graph,
                 &negatives,
-                &edges,
                 cfg.negatives.min(3),
                 BATCH,
                 rng,
             ))
         };
-
-        let mut step = RgcnStep {
-            params,
-            p,
-            graph,
-            opt: Adam::new(cfg.lr.min(0.01)),
-            val: data.val,
-            node_reps: &mut self.node_reps,
-            relation_diag: &mut self.relation_diag,
-            staged: None,
-        };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = TapeStep::new(model, params, cfg.lr);
+        let (report, snapshot) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.snapshot = Some(snapshot);
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {
-        let reps = self.node_reps.as_ref().expect("score() before fit()");
-        let diag = self.relation_diag.as_ref().expect("score() before fit()");
-        distmult_score(reps, diag, u, v, r)
+        let snap = self.snapshot.as_ref().expect("score() before fit()");
+        distmult_score(&snap.node_reps, &snap.relation_diag, u, v, r)
     }
 }
 

@@ -9,9 +9,11 @@
 //!
 //! A model contributes two things: a **sampling recipe** (a closure that
 //! turns an epoch index and a seeded RNG into minibatches) and a
-//! [`TrainStep`] implementation (one optimizer step per batch, plus
-//! validation/snapshot hooks). The pipeline owns everything else: the epoch
-//! loop, loss averaging, early stopping, report bookkeeping and the
+//! [`TrainStep`] implementation (one optimizer step per batch, plus an
+//! `eval` that returns the validation metric and the [`Snapshot`] it was
+//! measured on). The pipeline owns everything else: the epoch loop, loss
+//! averaging, early stopping, keeping the best snapshot (checkpointed with
+//! the run and returned by [`train`]), report bookkeeping and the
 //! per-stage timing breakdown.
 //!
 //! # Background sampling
@@ -28,8 +30,9 @@
 //!
 //! With [`TrainOptions::checkpoint_dir`] set, the pipeline persists
 //! versioned, checksummed, atomically-written snapshots (via `mhg-ckpt`) of
-//! everything a run owns — model parameters, optimizer moments, the RNG
-//! stream, the epoch cursor, early-stopping state — at the configured
+//! everything a run owns — model parameters, optimizer moments, the best
+//! snapshot so far, the RNG stream, the epoch cursor, early-stopping
+//! state — at the configured
 //! cadence and at run end. [`TrainOptions::resume`] restores the latest
 //! snapshot; a killed-and-resumed run is bit-identical to an uninterrupted
 //! one. Independently, the loop recovers from a panicking background
@@ -46,7 +49,7 @@ mod recipes;
 mod report;
 
 pub use error::TrainError;
-pub use pipeline::{epoch_seed, train, BatchLoss, TrainOptions, TrainStep};
+pub use pipeline::{epoch_seed, train, BatchLoss, Snapshot, TrainOptions, TrainStep};
 pub use recipes::{edge_batches, pair_batches, EdgeBatch, PairExample};
 pub use report::{
     pair_budget, EarlyStopper, RecoveryCounters, StopDecision, TimingBreakdown, TrainReport,

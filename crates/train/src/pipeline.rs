@@ -62,41 +62,51 @@ pub struct BatchLoss {
     pub denom: usize,
 }
 
+/// The artefact a model keeps from its best validation epoch: what
+/// [`train`] hands back to `fit`, and what the model's `score` reads.
+///
+/// The pipeline owns the snapshot: it keeps the best one in its loop state
+/// and exports it into every checkpoint and rollback anchor under the
+/// model's own `model/*` keys, next to [`TrainStep::export_state`].
+pub trait Snapshot: Sized {
+    /// Serialises the snapshot into `dict`.
+    fn export_state(&self, dict: &mut StateDict);
+
+    /// Restores a snapshot exported by [`Snapshot::export_state`];
+    /// `Ok(None)` when `dict` holds none (a run that has not validated).
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError>;
+}
+
 /// The per-model half of the pipeline: one optimizer step per minibatch,
-/// plus the validation/snapshot hooks the Validator stage drives.
+/// plus the validation hook the Validator stage drives.
 ///
 /// Contract: [`TrainStep::eval`] scores the *current* parameters on the
-/// validation set and stages a snapshot candidate; [`TrainStep::promote`]
-/// commits the staged candidate as the model's final artefact (called only
-/// when validation improved); [`TrainStep::is_fitted`] reports whether a
-/// final artefact exists. The pipeline guarantees `promote` is called at
-/// least once per `fit`, so `is_fitted` holds on return from [`train`].
+/// validation set and returns the metric (ROC-AUC) together with the
+/// [`Snapshot`] those parameters produce. [`train`] keeps the snapshot of
+/// the best epoch and returns it; a step never stages or commits one.
 ///
 /// [`TrainStep::export_state`] / [`TrainStep::import_state`] serialise
-/// everything the model owns that training mutates — parameters, optimizer
-/// moments, the committed artefact — under the model's own key prefix
-/// (conventionally `model/…`). Restoring an export and continuing must be
-/// bit-identical to never having stopped; this is what checkpoint/resume
-/// and divergence rollback are built on.
+/// everything the step owns that training mutates — parameters and
+/// optimizer moments — under the model's own key prefix (conventionally
+/// `model/…`). Restoring an export and continuing must be bit-identical to
+/// never having stopped; this is what checkpoint/resume and divergence
+/// rollback are built on.
 pub trait TrainStep {
     /// One epoch's minibatch unit, produced by the sampling recipe.
     /// `Send` so batches can cross from the prefetch worker thread.
     type Batch: Send;
 
+    /// The artefact [`TrainStep::eval`] produces and [`train`] returns.
+    type Snapshot: Snapshot;
+
     /// Performs one forward/backward/optimizer step on `batch`.
     fn step(&mut self, batch: Self::Batch, rng: &mut StdRng) -> BatchLoss;
 
-    /// Evaluates the current parameters on the validation set, staging a
-    /// snapshot candidate; returns the validation metric (ROC-AUC).
-    fn eval(&mut self, rng: &mut StdRng) -> f64;
+    /// Evaluates the current parameters on the validation set; returns the
+    /// validation metric (ROC-AUC) and the snapshot it was measured on.
+    fn eval(&mut self, rng: &mut StdRng) -> (f64, Self::Snapshot);
 
-    /// Commits the candidate staged by the last [`TrainStep::eval`] call.
-    fn promote(&mut self);
-
-    /// Whether a final artefact has been committed.
-    fn is_fitted(&self) -> bool;
-
-    /// Serialises all training-mutable model state into `dict`.
+    /// Serialises all training-mutable step state into `dict`.
     fn export_state(&self, dict: &mut StateDict);
 
     /// Restores state exported by [`TrainStep::export_state`].
@@ -121,11 +131,11 @@ pub fn epoch_seed(base: u64, epoch: u64) -> u64 {
 /// into [`TrainError::Diverged`].
 const MAX_NAN_ROLLBACKS: usize = 4;
 
-/// Checkpoint format version for the loop-level snapshot keys.
+/// Checkpoint format version for the loop-level keys.
 const SNAPSHOT_FORMAT: u64 = 1;
 
-/// Everything the epoch loop itself owns; model state lives in the step.
-struct LoopState {
+/// Everything the epoch loop itself owns; model parameters live in the step.
+struct LoopState<S> {
     /// Base seed all per-epoch sampler seeds derive from.
     base: u64,
     /// Next epoch to run (== completed epoch count).
@@ -134,63 +144,127 @@ struct LoopState {
     stopper: EarlyStopper,
     /// Early stopping fired; persisted so a resumed run does not continue.
     stopped: bool,
+    /// Snapshot of the best validation epoch so far; `None` until the
+    /// first improvement.
+    best: Option<S>,
+    /// On-disk checkpoint directory, when persistence is on.
+    ckpt: Option<Checkpointer>,
+    /// In-memory rollback anchor for divergence recovery; refreshed at the
+    /// checkpoint cadence so it works with or without a checkpoint dir.
+    last_good: StateDict,
+    /// Epoch of the newest checkpoint written by this run.
+    last_saved: Option<usize>,
 }
 
-/// Captures the complete pipeline state (loop + RNG + model) after a
-/// completed epoch boundary.
-fn snapshot<T: TrainStep>(st: &LoopState, rng: &StdRng, step: &T) -> StateDict {
-    let mut dict = StateDict::new();
-    dict.put_u64("loop/format", SNAPSHOT_FORMAT);
-    dict.put_u64("loop/base", st.base);
-    dict.put_u64("loop/epoch", st.epoch as u64);
-    dict.put_u64("loop/stopped", u64::from(st.stopped));
-    dict.put_u64s("loop/rng", rng.to_state().to_vec());
-    st.stopper.export_state("loop/stopper", &mut dict);
-    dict.put_u64("loop/report/epochs_run", st.report.epochs_run as u64);
-    dict.put_u64(
-        "loop/report/final_loss",
-        u64::from(st.report.final_loss.to_bits()),
-    );
-    // Wall-clock totals are persisted for report fidelity but are the one
-    // part of a resumed report outside the bit-identity contract.
-    dict.put_f64("loop/report/sample_ms", st.report.timing.sample_ms);
-    dict.put_f64("loop/report/compute_ms", st.report.timing.compute_ms);
-    dict.put_f64("loop/report/eval_ms", st.report.timing.eval_ms);
-    step.export_state(&mut dict);
-    dict
-}
+impl<S: Snapshot> LoopState<S> {
+    /// The state of a run that has not started yet.
+    fn new(base: u64, patience: usize, ckpt: Option<Checkpointer>) -> Self {
+        Self {
+            base,
+            epoch: 0,
+            report: TrainReport::default(),
+            stopper: EarlyStopper::new(patience),
+            stopped: false,
+            best: None,
+            ckpt,
+            last_good: StateDict::new(),
+            last_saved: None,
+        }
+    }
 
-/// Restores a [`snapshot`]; the restored state is authoritative over
-/// whatever the caller had (base seed, RNG stream, model parameters).
-fn restore<T: TrainStep>(
-    st: &mut LoopState,
-    rng: &mut StdRng,
-    step: &mut T,
-    dict: &StateDict,
-) -> Result<(), CkptError> {
-    let format = dict.u64("loop/format")?;
-    if format != SNAPSHOT_FORMAT {
-        return Err(CkptError::UnsupportedVersion(format as u16));
+    /// Captures the complete pipeline state (loop + RNG + model + best
+    /// snapshot) after a completed epoch boundary.
+    fn capture<T: TrainStep>(&self, rng: &StdRng, step: &T) -> StateDict {
+        let mut dict = StateDict::new();
+        dict.put_u64("loop/format", SNAPSHOT_FORMAT);
+        dict.put_u64("loop/base", self.base);
+        dict.put_u64("loop/epoch", self.epoch as u64);
+        dict.put_u64("loop/stopped", u64::from(self.stopped));
+        dict.put_u64s("loop/rng", rng.to_state().to_vec());
+        self.stopper.export_state("loop/stopper", &mut dict);
+        dict.put_u64("loop/report/epochs_run", self.report.epochs_run as u64);
+        dict.put_u64(
+            "loop/report/final_loss",
+            u64::from(self.report.final_loss.to_bits()),
+        );
+        // Wall-clock totals are persisted for report fidelity but are the
+        // one part of a resumed report outside the bit-identity contract.
+        dict.put_f64("loop/report/sample_ms", self.report.timing.sample_ms);
+        dict.put_f64("loop/report/compute_ms", self.report.timing.compute_ms);
+        dict.put_f64("loop/report/eval_ms", self.report.timing.eval_ms);
+        step.export_state(&mut dict);
+        if let Some(best) = &self.best {
+            best.export_state(&mut dict);
+        }
+        dict
     }
-    let rng_state = dict.u64s("loop/rng")?;
-    if rng_state.len() != 4 {
-        return Err(CkptError::ShapeMismatch(format!(
-            "loop/rng has {} words, expected 4",
-            rng_state.len()
-        )));
+
+    /// Restores a [`LoopState::capture`]; the restored state is
+    /// authoritative over whatever the caller had (base seed, RNG stream,
+    /// model parameters, best snapshot).
+    fn restore<T: TrainStep<Snapshot = S>>(
+        &mut self,
+        rng: &mut StdRng,
+        step: &mut T,
+        dict: &StateDict,
+    ) -> Result<(), CkptError> {
+        let format = dict.u64("loop/format")?;
+        if format != SNAPSHOT_FORMAT {
+            // Saturate: truncating would report format 65,537 as the
+            // supported version 1.
+            return Err(CkptError::UnsupportedVersion(
+                u16::try_from(format).unwrap_or(u16::MAX),
+            ));
+        }
+        let rng_state = dict.u64s("loop/rng")?;
+        if rng_state.len() != 4 {
+            return Err(CkptError::ShapeMismatch(format!(
+                "loop/rng has {} words, expected 4",
+                rng_state.len()
+            )));
+        }
+        self.base = dict.u64("loop/base")?;
+        self.epoch = dict.u64("loop/epoch")? as usize;
+        self.stopped = dict.u64("loop/stopped")? != 0;
+        *rng = StdRng::from_state([rng_state[0], rng_state[1], rng_state[2], rng_state[3]]);
+        self.stopper = EarlyStopper::import_state("loop/stopper", dict)?;
+        self.report.epochs_run = dict.u64("loop/report/epochs_run")? as usize;
+        self.report.final_loss = f32::from_bits(dict.u64("loop/report/final_loss")? as u32);
+        self.report.timing.sample_ms = dict.f64("loop/report/sample_ms")?;
+        self.report.timing.compute_ms = dict.f64("loop/report/compute_ms")?;
+        self.report.timing.eval_ms = dict.f64("loop/report/eval_ms")?;
+        step.import_state(dict)?;
+        self.best = S::import_state(dict)?;
+        Ok(())
     }
-    st.base = dict.u64("loop/base")?;
-    st.epoch = dict.u64("loop/epoch")? as usize;
-    st.stopped = dict.u64("loop/stopped")? != 0;
-    *rng = StdRng::from_state([rng_state[0], rng_state[1], rng_state[2], rng_state[3]]);
-    st.stopper = EarlyStopper::import_state("loop/stopper", dict)?;
-    st.report.epochs_run = dict.u64("loop/report/epochs_run")? as usize;
-    st.report.final_loss = f32::from_bits(dict.u64("loop/report/final_loss")? as u32);
-    st.report.timing.sample_ms = dict.f64("loop/report/sample_ms")?;
-    st.report.timing.compute_ms = dict.f64("loop/report/compute_ms")?;
-    st.report.timing.eval_ms = dict.f64("loop/report/eval_ms")?;
-    step.import_state(dict)?;
-    Ok(())
+
+    /// Restores the rollback anchor.
+    fn rollback<T: TrainStep<Snapshot = S>>(
+        &mut self,
+        rng: &mut StdRng,
+        step: &mut T,
+    ) -> Result<(), CkptError> {
+        let anchor = std::mem::take(&mut self.last_good);
+        let restored = self.restore(rng, step, &anchor);
+        self.last_good = anchor;
+        restored
+    }
+
+    /// Writes `dict` as the checkpoint of the current epoch boundary, when
+    /// a checkpoint directory is set.
+    fn save(&mut self, obs: &Obs, dict: &StateDict) -> Result<(), TrainError> {
+        if let Some(c) = &self.ckpt {
+            let span = obs.span("train/ckpt");
+            c.save(self.epoch, dict)?;
+            span.stop_ms();
+            obs.event(
+                "checkpoint",
+                &[("epoch", EventValue::U64(self.epoch as u64))],
+            );
+            self.last_saved = Some(self.epoch);
+        }
+        Ok(())
+    }
 }
 
 /// How one contiguous stretch of epochs ended.
@@ -214,17 +288,22 @@ enum EpochOutcome {
 /// double-buffered on a background thread per `opts.background`), steps
 /// `step` over the produced batches, validates, early-stops, checkpoints at
 /// the configured cadence, and returns a uniformly initialized and
-/// finalized [`TrainReport`].
+/// finalized [`TrainReport`] together with the snapshot of the best
+/// validation epoch.
 ///
 /// `sample(epoch, rng)` receives an RNG seeded by [`epoch_seed`] from a
 /// base drawn once from `rng`; `step` hooks receive `rng` itself. The two
 /// streams are independent, so background and inline sampling produce
 /// byte-identical models.
 ///
+/// A run that never improves on its validation metric (0 epochs, or only
+/// NaN metrics) evaluates once more after the loop, so a snapshot is always
+/// returned.
+///
 /// # Crash safety and recovery
 ///
 /// With `checkpoint_dir` set, the loop persists atomic checksummed
-/// snapshots; `resume: true` restores the latest one, and
+/// checkpoints; `resume: true` restores the latest one, and
 /// `train(k)` → crash → `train(n)` with resume is bit-identical to a
 /// single `train(n)`. Independently of persistence, the loop survives a
 /// panicking background sampler (inline fallback over the same epochs), a
@@ -236,59 +315,41 @@ pub fn train<S, T>(
     sample: S,
     step: &mut T,
     rng: &mut StdRng,
-) -> Result<TrainReport, TrainError>
+) -> Result<(TrainReport, T::Snapshot), TrainError>
 where
     T: TrainStep,
     S: Fn(usize, &mut StdRng) -> Result<Vec<T::Batch>, SampleError> + Sync,
 {
     // Size the kernel/walk worker pool for the whole run (0 = inherit).
     let _pool = mhg_par::scoped_threads(opts.threads);
-    let mut st = LoopState {
-        base: rng.gen(),
-        epoch: 0,
-        report: TrainReport::default(),
-        stopper: EarlyStopper::new(opts.patience),
-        stopped: false,
-    };
-    let mut recovery = RecoveryCounters::default();
-
+    let base = rng.gen();
     let ckpt = match &opts.checkpoint_dir {
         Some(dir) => Some(Checkpointer::create(dir)?),
         None => None,
     };
-    if opts.resume {
-        if let Some(c) = &ckpt {
-            if let Some((epoch, dict)) = c.load_latest()? {
-                restore(&mut st, rng, step, &dict).map_err(TrainError::Checkpoint)?;
-                recovery.resumed_from = Some(epoch);
-                opts.obs
-                    .event("resumed", &[("epoch", EventValue::U64(epoch as u64))]);
-                opts.obs.note(&format!(
-                    "[mhg-train] resumed from checkpoint at epoch {epoch}"
-                ));
-            }
-        }
+    let mut st = LoopState::new(base, opts.patience, ckpt);
+    let mut recovery = RecoveryCounters::default();
+
+    let latest = match &st.ckpt {
+        Some(c) if opts.resume => c.load_latest()?,
+        _ => None,
+    };
+    if let Some((epoch, dict)) = latest {
+        st.restore(rng, step, &dict)
+            .map_err(TrainError::Checkpoint)?;
+        recovery.resumed_from = Some(epoch);
+        opts.obs
+            .event("resumed", &[("epoch", EventValue::U64(epoch as u64))]);
+        opts.obs.note(&format!(
+            "[mhg-train] resumed from checkpoint at epoch {epoch}"
+        ));
     }
 
-    // In-memory rollback anchor for divergence recovery; refreshed at the
-    // checkpoint cadence so it works with or without a checkpoint dir.
-    let mut last_good = snapshot(&st, rng, step);
-    let mut last_saved: Option<usize> = None;
+    st.last_good = st.capture(rng, step);
     let mut background = opts.background;
 
     while !st.stopped && st.epoch < opts.epochs {
-        let exit = run_span(
-            opts,
-            &sample,
-            step,
-            rng,
-            &mut st,
-            background,
-            ckpt.as_ref(),
-            &mut last_good,
-            &mut last_saved,
-        )?;
-        match exit {
+        match run_span(opts, &sample, step, rng, &mut st, background)? {
             SpanExit::Finished => break,
             SpanExit::SamplerFailed(e) => {
                 if let SampleError::Storage(detail) = e {
@@ -347,36 +408,33 @@ where
                      rolling back to last good state",
                     st.epoch
                 ));
-                restore(&mut st, rng, step, &last_good).map_err(TrainError::Checkpoint)?;
+                st.rollback(rng, step).map_err(TrainError::Checkpoint)?;
             }
         }
     }
 
-    if !step.is_fitted() {
-        // 0-epoch runs: still produce the final artefact and a real
-        // validation score from the initial parameters, so every report is
-        // finalized the same way. (With ≥ 1 epoch the first eval always
-        // improves on −∞ and promotes.)
-        let span = opts.obs.span("train/eval");
-        let auc = step.eval(rng);
-        st.report.timing.eval_ms += span.stop_ms();
-        st.stopper.update(auc);
-        step.promote();
-    }
-    st.report.best_val_auc = st.stopper.best();
-    if let Some(c) = &ckpt {
-        // Final checkpoint so a finished run resumes as a no-op; skipped if
-        // the cadence already saved this exact boundary (the cadence
-        // snapshot runs after the stopped flag is set, so it never misses
-        // an early stop).
-        if last_saved != Some(st.epoch) {
-            let snap = snapshot(&st, rng, step);
-            let span = opts.obs.span("train/ckpt");
-            c.save(st.epoch, &snap)?;
-            span.stop_ms();
-            opts.obs
-                .event("checkpoint", &[("epoch", EventValue::U64(st.epoch as u64))]);
+    let best = match st.best.take() {
+        Some(best) => best,
+        None => {
+            // No epoch improved (0-epoch run, or only NaN metrics): still
+            // return a snapshot with a real validation score from the
+            // current parameters, so every report is finalized the same way.
+            let span = opts.obs.span("train/eval");
+            let (auc, snap) = step.eval(rng);
+            st.report.timing.eval_ms += span.stop_ms();
+            st.stopper.update(auc);
+            snap
         }
+    };
+    st.report.best_val_auc = st.stopper.best();
+    // Final checkpoint so a finished run resumes as a no-op; skipped if the
+    // cadence already saved this exact boundary (the cadence checkpoint runs
+    // after the stopped flag is set, so it never misses an early stop).
+    if st.ckpt.is_some() && st.last_saved != Some(st.epoch) {
+        let mut dict = st.capture(rng, step);
+        // `best` has left the loop state; export it alongside.
+        best.export_state(&mut dict);
+        st.save(&opts.obs, &dict)?;
     }
     st.report.recovery = recovery;
     opts.obs.event(
@@ -398,23 +456,19 @@ where
             ),
         ],
     );
-    Ok(st.report)
+    Ok((st.report, best))
 }
 
 /// Runs epochs from `st.epoch` until the budget, early stopping, or a
 /// recoverable fault ends the span. Sampling runs on a background worker
 /// when `background` holds, inline otherwise — bit-identical either way.
-#[allow(clippy::too_many_arguments)]
 fn run_span<S, T>(
     opts: &TrainOptions,
     sample: &S,
     step: &mut T,
     rng: &mut StdRng,
-    st: &mut LoopState,
+    st: &mut LoopState<T::Snapshot>,
     background: bool,
-    ckpt: Option<&Checkpointer>,
-    last_good: &mut StateDict,
-    last_saved: &mut Option<usize>,
 ) -> Result<SpanExit, TrainError>
 where
     T: TrainStep,
@@ -439,49 +493,32 @@ where
 
     if background && budget > 0 {
         run_prefetched(budget, &produce, |next| {
-            pump(
-                opts,
-                step,
-                rng,
-                st,
-                ckpt,
-                last_good,
-                last_saved,
-                &mut || next().map(|r| r.and_then(|b| b)),
-            )
+            pump(opts, step, rng, st, &mut || {
+                next().map(|r| r.and_then(|b| b))
+            })
         })
     } else {
         let mut offset = 0usize;
-        pump(
-            opts,
-            step,
-            rng,
-            st,
-            ckpt,
-            last_good,
-            last_saved,
-            &mut || {
-                if offset >= budget {
-                    return None;
-                }
-                // A sharded-store failure escapes the infallible GraphStore
-                // API as a panic; contain it here exactly like the prefetch
-                // worker does, so the inline path also surfaces a typed
-                // `SampleError::Storage` instead of aborting the process.
-                // Any other panic is a real bug and keeps unwinding.
-                let buffer = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    produce(offset)
-                })) {
+        pump(opts, step, rng, st, &mut || {
+            if offset >= budget {
+                return None;
+            }
+            // A sharded-store failure escapes the infallible GraphStore
+            // API as a panic; contain it here exactly like the prefetch
+            // worker does, so the inline path also surfaces a typed
+            // `SampleError::Storage` instead of aborting the process.
+            // Any other panic is a real bug and keeps unwinding.
+            let buffer =
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| produce(offset))) {
                     Ok(b) => b,
                     Err(payload) => match mhg_sampling::classify_panic(payload.as_ref()) {
                         e @ SampleError::Storage(_) => Err(e),
                         _ => std::panic::resume_unwind(payload),
                     },
                 };
-                offset += 1;
-                Some(buffer)
-            },
-        )
+            offset += 1;
+            Some(buffer)
+        })
     }
 }
 
@@ -492,15 +529,11 @@ type SampledBuffer<B> = Result<(Vec<B>, u64), SampleError>;
 /// The span body shared between the inline and background paths: `next`
 /// yields `(batches, sample_ms)` buffers (or a sampling error) until the
 /// span ends.
-#[allow(clippy::too_many_arguments)]
 fn pump<T: TrainStep>(
     opts: &TrainOptions,
     step: &mut T,
     rng: &mut StdRng,
-    st: &mut LoopState,
-    ckpt: Option<&Checkpointer>,
-    last_good: &mut StateDict,
-    last_saved: &mut Option<usize>,
+    st: &mut LoopState<T::Snapshot>,
     next: &mut dyn FnMut() -> Option<SampledBuffer<T::Batch>>,
 ) -> Result<SpanExit, TrainError> {
     while let Some(buffer) = next() {
@@ -509,28 +542,16 @@ fn pump<T: TrainStep>(
             Err(e) => return Ok(SpanExit::SamplerFailed(e)),
         };
         let outcome = drive_epoch(&opts.obs, step, rng, st, batches, sample_ns);
-        match outcome {
-            EpochOutcome::Diverged => return Ok(SpanExit::Diverged),
-            EpochOutcome::Committed | EpochOutcome::Stopped => {
-                let completed = st.epoch;
-                if opts.checkpoint_every > 0 && completed.is_multiple_of(opts.checkpoint_every) {
-                    let snap = snapshot(st, rng, step);
-                    if let Some(c) = ckpt {
-                        let span = opts.obs.span("train/ckpt");
-                        c.save(completed, &snap)?;
-                        span.stop_ms();
-                        opts.obs.event(
-                            "checkpoint",
-                            &[("epoch", EventValue::U64(completed as u64))],
-                        );
-                        *last_saved = Some(completed);
-                    }
-                    *last_good = snap;
-                }
-                if matches!(outcome, EpochOutcome::Stopped) {
-                    return Ok(SpanExit::Finished);
-                }
-            }
+        if matches!(outcome, EpochOutcome::Diverged) {
+            return Ok(SpanExit::Diverged);
+        }
+        if opts.checkpoint_every > 0 && st.epoch.is_multiple_of(opts.checkpoint_every) {
+            let dict = st.capture(rng, step);
+            st.save(&opts.obs, &dict)?;
+            st.last_good = dict;
+        }
+        if matches!(outcome, EpochOutcome::Stopped) {
+            return Ok(SpanExit::Finished);
         }
     }
     Ok(SpanExit::Finished)
@@ -538,7 +559,8 @@ fn pump<T: TrainStep>(
 
 /// Steps one epoch's batches, validates, and commits the epoch — unless
 /// the epoch loss comes out non-finite, in which case nothing is committed
-/// and the caller rolls back.
+/// and the caller rolls back. An improving epoch's snapshot becomes
+/// `st.best`.
 ///
 /// All per-epoch timing flows through `obs` spans (satellite of the
 /// `TimingBreakdown` contract): the histogram record and the
@@ -547,7 +569,7 @@ fn drive_epoch<T: TrainStep>(
     obs: &Obs,
     step: &mut T,
     rng: &mut StdRng,
-    st: &mut LoopState,
+    st: &mut LoopState<T::Snapshot>,
     batches: Vec<T::Batch>,
     sample_ns: u64,
 ) -> EpochOutcome {
@@ -581,7 +603,7 @@ fn drive_epoch<T: TrainStep>(
     st.epoch += 1;
 
     let eval_span = obs.span("train/eval");
-    let auc = step.eval(rng);
+    let (auc, snap) = step.eval(rng);
     let eval_ms = eval_span.stop_ms();
     st.report.timing.eval_ms += eval_ms;
 
@@ -609,7 +631,7 @@ fn drive_epoch<T: TrainStep>(
     );
     match st.stopper.update(auc) {
         StopDecision::Improved => {
-            step.promote();
+            st.best = Some(snap);
             EpochOutcome::Committed
         }
         StopDecision::Continue => EpochOutcome::Committed,
@@ -648,8 +670,6 @@ mod tests {
     struct CountingStep {
         steps: usize,
         evals: usize,
-        promoted: usize,
-        fitted: bool,
         peak: usize,
         trace: Vec<u64>,
         /// When set, every epoch loss comes out NaN (real divergence).
@@ -661,8 +681,6 @@ mod tests {
             Self {
                 steps: 0,
                 evals: 0,
-                promoted: 0,
-                fitted: false,
                 peak,
                 trace: Vec::new(),
                 diverge: false,
@@ -670,8 +688,26 @@ mod tests {
         }
     }
 
+    /// The toy snapshot: the 1-based index of the evaluation that made it.
+    #[derive(Debug, PartialEq)]
+    struct EvalIndex(u64);
+
+    impl Snapshot for EvalIndex {
+        fn export_state(&self, dict: &mut StateDict) {
+            dict.put_u64("model/best_eval", self.0);
+        }
+
+        fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+            if !dict.contains("model/best_eval") {
+                return Ok(None);
+            }
+            Ok(Some(Self(dict.u64("model/best_eval")?)))
+        }
+    }
+
     impl TrainStep for CountingStep {
         type Batch = Vec<u64>;
+        type Snapshot = EvalIndex;
 
         fn step(&mut self, batch: Vec<u64>, _rng: &mut StdRng) -> BatchLoss {
             self.steps += 1;
@@ -686,33 +722,23 @@ mod tests {
             }
         }
 
-        fn eval(&mut self, _rng: &mut StdRng) -> f64 {
+        fn eval(&mut self, _rng: &mut StdRng) -> (f64, EvalIndex) {
             self.evals += 1;
-            self.evals.min(self.peak) as f64
-        }
-
-        fn promote(&mut self) {
-            self.promoted += 1;
-            self.fitted = true;
-        }
-
-        fn is_fitted(&self) -> bool {
-            self.fitted
+            (
+                self.evals.min(self.peak) as f64,
+                EvalIndex(self.evals as u64),
+            )
         }
 
         fn export_state(&self, dict: &mut StateDict) {
             dict.put_u64("model/steps", self.steps as u64);
             dict.put_u64("model/evals", self.evals as u64);
-            dict.put_u64("model/promoted", self.promoted as u64);
-            dict.put_u64("model/fitted", u64::from(self.fitted));
             dict.put_u64s("model/trace", self.trace.clone());
         }
 
         fn import_state(&mut self, dict: &StateDict) -> Result<(), CkptError> {
             self.steps = dict.u64("model/steps")? as usize;
             self.evals = dict.u64("model/evals")? as usize;
-            self.promoted = dict.u64("model/promoted")? as usize;
-            self.fitted = dict.u64("model/fitted")? != 0;
             self.trace = dict.u64s("model/trace")?.to_vec();
             Ok(())
         }
@@ -739,35 +765,31 @@ mod tests {
         }
     }
 
-    fn run(background: bool, epochs: usize, peak: usize) -> (TrainReport, CountingStep) {
-        let mut step = CountingStep::new(peak);
-        let mut rng = StdRng::seed_from_u64(7);
-        let report = train(&opts(background, epochs), recipe, &mut step, &mut rng)
-            .expect("clean run must succeed");
-        (report, step)
+    /// A finished toy run: the report, the step and the best snapshot.
+    type Run = (TrainReport, CountingStep, EvalIndex);
+
+    fn run(background: bool, epochs: usize, peak: usize) -> Run {
+        run_with(&opts(background, epochs), peak, 7).expect("clean run must succeed")
     }
 
-    fn run_with(
-        o: &TrainOptions,
-        peak: usize,
-        seed: u64,
-    ) -> Result<(TrainReport, CountingStep), TrainError> {
+    fn run_with(o: &TrainOptions, peak: usize, seed: u64) -> Result<Run, TrainError> {
         let mut step = CountingStep::new(peak);
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = train(o, recipe, &mut step, &mut rng)?;
-        Ok((report, step))
+        let (report, best) = train(o, recipe, &mut step, &mut rng)?;
+        Ok((report, step, best))
     }
 
     #[test]
     fn background_matches_inline_exactly() {
         let _g = faults_guard();
         mhg_faults::clear();
-        let (r_in, s_in) = run(false, 6, 10);
-        let (r_bg, s_bg) = run(true, 6, 10);
+        let (r_in, s_in, b_in) = run(false, 6, 10);
+        let (r_bg, s_bg, b_bg) = run(true, 6, 10);
         assert_eq!(s_in.trace, s_bg.trace, "batch streams must be identical");
         assert_eq!(r_in.epochs_run, r_bg.epochs_run);
         assert_eq!(r_in.final_loss, r_bg.final_loss);
         assert_eq!(r_in.best_val_auc, r_bg.best_val_auc);
+        assert_eq!(b_in, b_bg);
     }
 
     #[test]
@@ -775,11 +797,12 @@ mod tests {
         let _g = faults_guard();
         mhg_faults::clear();
         // Improves for 3 epochs, patience 2 → stops at epoch 5.
-        let (report, step) = run(false, 30, 3);
+        let (report, step, best) = run(false, 30, 3);
         assert_eq!(report.epochs_run, 5);
-        assert_eq!(step.promoted, 3);
+        assert_eq!(step.evals, 5);
+        assert_eq!(best, EvalIndex(3), "the last improving epoch is kept");
         assert!((report.best_val_auc - 3.0).abs() < 1e-12);
-        let (report_bg, _) = run(true, 30, 3);
+        let (report_bg, _, _) = run(true, 30, 3);
         assert_eq!(report_bg.epochs_run, 5);
     }
 
@@ -788,13 +811,13 @@ mod tests {
         let _g = faults_guard();
         mhg_faults::clear();
         for background in [false, true] {
-            let (report, step) = run(background, 0, 10);
+            let (report, step, best) = run(background, 0, 10);
             assert_eq!(report.epochs_run, 0);
             assert_eq!(report.final_loss, 0.0);
-            // Still evaluated and promoted once from initial parameters.
+            // Still evaluated once from initial parameters, and that
+            // evaluation's snapshot is returned.
             assert_eq!(step.evals, 1);
-            assert_eq!(step.promoted, 1);
-            assert!(step.is_fitted());
+            assert_eq!(best, EvalIndex(1));
             assert!((report.best_val_auc - 1.0).abs() < 1e-12);
         }
     }
@@ -810,7 +833,7 @@ mod tests {
     fn timing_is_accumulated() {
         let _g = faults_guard();
         mhg_faults::clear();
-        let (report, _) = run(false, 3, 10);
+        let (report, _, _) = run(false, 3, 10);
         // Totals are non-negative and finite; exact values are wall-clock.
         assert!(report.timing.sample_ms >= 0.0);
         assert!(report.timing.compute_ms >= 0.0);
@@ -830,7 +853,7 @@ mod tests {
         let _g = faults_guard();
         mhg_faults::clear();
         for background in [false, true] {
-            let (full_report, full_step) = run(background, 6, 10);
+            let (full_report, full_step, full_best) = run(background, 6, 10);
 
             let dir = fresh_dir(if background { "split_bg" } else { "split_in" });
             let mut part1 = opts(background, 3);
@@ -844,7 +867,7 @@ mod tests {
             part2.checkpoint_every = 1;
             part2.checkpoint_dir = Some(dir.clone());
             part2.resume = true;
-            let (resumed_report, resumed_step) =
+            let (resumed_report, resumed_step, resumed_best) =
                 run_with(&part2, 10, 999).expect("resumed run must succeed");
 
             assert_eq!(resumed_report.recovery.resumed_from, Some(3));
@@ -852,6 +875,7 @@ mod tests {
             assert_eq!(full_report.epochs_run, resumed_report.epochs_run);
             assert_eq!(full_report.final_loss, resumed_report.final_loss);
             assert_eq!(full_report.best_val_auc, resumed_report.best_val_auc);
+            assert_eq!(full_best, resumed_best);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -865,14 +889,15 @@ mod tests {
         let dir = fresh_dir("finished");
         let mut o = opts(false, 4);
         o.checkpoint_dir = Some(dir.clone());
-        let (first, step1) = run_with(&o, 10, 7).expect("first run");
+        let (first, step1, best1) = run_with(&o, 10, 7).expect("first run");
         o.resume = true;
-        let (second, step2) = run_with(&o, 10, 123).expect("resume");
+        let (second, step2, best2) = run_with(&o, 10, 123).expect("resume");
         assert_eq!(second.recovery.resumed_from, Some(4));
         assert_eq!(step1.steps, step2.steps, "no epochs may re-run");
         assert_eq!(step1.evals, step2.evals, "no extra evaluation");
         assert_eq!(first.epochs_run, second.epochs_run);
         assert_eq!(first.best_val_auc, second.best_val_auc);
+        assert_eq!(best1, best2, "the restored snapshot is returned");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -885,12 +910,12 @@ mod tests {
         let dir = fresh_dir("stopped");
         let mut o = opts(false, 30);
         o.checkpoint_dir = Some(dir.clone());
-        let (first, _) = run_with(&o, 3, 7).expect("first run");
+        let (first, _, _) = run_with(&o, 3, 7).expect("first run");
         assert_eq!(first.epochs_run, 5, "peak 3 + patience 2");
         let mut o2 = opts(false, 100);
         o2.checkpoint_dir = Some(dir.clone());
         o2.resume = true;
-        let (second, step2) = run_with(&o2, 3, 7).expect("resume");
+        let (second, step2, _) = run_with(&o2, 3, 7).expect("resume");
         assert_eq!(second.epochs_run, 5, "stopped flag must hold");
         assert_eq!(step2.steps, 10, "restored steps only, no new ones");
         std::fs::remove_dir_all(&dir).ok();
@@ -901,7 +926,7 @@ mod tests {
     #[test]
     fn injected_nan_loss_rolls_back_and_replays_bit_identically() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(false, 5, 10)
         };
@@ -909,10 +934,12 @@ mod tests {
         mhg_faults::install(plan);
         let mut o = opts(false, 5);
         o.checkpoint_every = 1; // refresh the rollback anchor every epoch
-        let (faulted_report, faulted_step) = run_with(&o, 10, 7).expect("must recover");
+        let (faulted_report, faulted_step, faulted_best) =
+            run_with(&o, 10, 7).expect("must recover");
         mhg_faults::clear();
         assert_eq!(faulted_report.recovery.nan_rollbacks, 1);
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.epochs_run, faulted_report.epochs_run);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
         assert_eq!(clean_report.best_val_auc, faulted_report.best_val_auc);
@@ -922,17 +949,18 @@ mod tests {
     #[test]
     fn nan_rollback_to_run_start_still_recovers() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(false, 4, 10)
         };
         let plan = mhg_faults::FaultPlan::new().inject(FaultSite::NanLoss, 2);
         mhg_faults::install(plan);
-        let (faulted_report, faulted_step) =
+        let (faulted_report, faulted_step, faulted_best) =
             run_with(&opts(false, 4), 10, 7).expect("must recover");
         mhg_faults::clear();
         assert_eq!(faulted_report.recovery.nan_rollbacks, 1);
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
     }
 
@@ -961,7 +989,7 @@ mod tests {
     #[test]
     fn sampler_panic_falls_back_inline_bit_identically() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(true, 5, 10)
         };
@@ -972,9 +1000,10 @@ mod tests {
         let result = run_with(&opts(true, 5), 10, 7);
         std::panic::set_hook(prev_hook);
         mhg_faults::clear();
-        let (faulted_report, faulted_step) = result.expect("must fall back");
+        let (faulted_report, faulted_step, faulted_best) = result.expect("must fall back");
         assert_eq!(faulted_report.recovery.sampler_fallbacks, 1);
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.epochs_run, faulted_report.epochs_run);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
         assert_eq!(clean_report.best_val_auc, faulted_report.best_val_auc);
@@ -1020,7 +1049,7 @@ mod tests {
     #[test]
     fn checkpoint_io_faults_are_retried_transparently() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(false, 4, 10)
         };
@@ -1034,8 +1063,10 @@ mod tests {
         o.checkpoint_dir = Some(dir.clone());
         let result = run_with(&o, 10, 7);
         mhg_faults::clear();
-        let (faulted_report, faulted_step) = result.expect("retries must absorb IO faults");
+        let (faulted_report, faulted_step, faulted_best) =
+            result.expect("retries must absorb IO faults");
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
         // The checkpoints landed despite the injected write failures.
         assert!(Path::new(&dir).join("ckpt-000004.mhgc").exists());
@@ -1067,5 +1098,23 @@ mod tests {
             "got {err}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An unknown `loop/format` is reported saturated, never truncated:
+    /// format 65,537 must not read as the supported version 1.
+    #[test]
+    fn unknown_checkpoint_format_reports_a_saturated_version() {
+        let mut step = CountingStep::new(10);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut st = LoopState::<EvalIndex>::new(1, 2, None);
+        let mut dict = st.capture(&rng, &step);
+        dict.put_u64("loop/format", 65_537);
+        let err = st
+            .restore(&mut rng, &mut step, &dict)
+            .expect_err("format 65,537 is unsupported");
+        assert!(
+            matches!(err, CkptError::UnsupportedVersion(u16::MAX)),
+            "got {err}"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! whole sampling stage can run ahead of the compute stage on the prefetch
 //! worker.
 
-use mhg_graph::{GraphStore, NodeId, RelationId};
+use mhg_graph::{GraphStore, MultiplexGraph, NodeId, RelationId};
 use mhg_sampling::{NegativeSampler, Pair};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -81,19 +81,24 @@ impl EdgeBatch {
     }
 }
 
-/// Shuffles `edges`, chunks them into batches of `batch` positives, and
-/// expands each positive `(u, v, r)` into a `+1` row plus `k` type-aware
-/// negative `-1` rows sharing the anchor `u` and relation `r`.
-pub fn edge_batches<G: GraphStore>(
-    graph: &G,
+/// Shuffles every edge of `graph` — the `(u, v, r)` positives in
+/// `schema().relations()` then `edges_in(r)` order — chunks them into
+/// batches of `batch` positives, and expands each positive into a `+1` row
+/// plus `k` type-aware negative `-1` rows sharing the anchor `u` and
+/// relation `r`.
+pub fn edge_batches(
+    graph: &MultiplexGraph,
     negatives: &NegativeSampler,
-    edges: &[(NodeId, NodeId, RelationId)],
     k: usize,
     batch: usize,
     rng: &mut StdRng,
 ) -> Vec<EdgeBatch> {
     let batch = batch.max(1);
-    let mut edges = edges.to_vec();
+    let mut edges: Vec<(NodeId, NodeId, RelationId)> = graph
+        .schema()
+        .relations()
+        .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
+        .collect();
     edges.shuffle(rng);
     let mut out: Vec<EdgeBatch> = Vec::with_capacity(edges.len().div_ceil(batch));
     for chunk in edges.chunks(batch) {
@@ -178,15 +183,14 @@ mod tests {
         let g = toy_graph();
         let sampler = NegativeSampler::new(&g);
         let mut rng = StdRng::seed_from_u64(5);
-        let edges: Vec<(NodeId, NodeId, RelationId)> = g
-            .schema()
-            .relations()
-            .flat_map(|r| g.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-        let batches = edge_batches(&g, &sampler, &edges, 2, 2, &mut rng);
+        let batches = edge_batches(&g, &sampler, 2, 2, &mut rng);
         assert_eq!(batches.len(), 2);
         let rows: usize = batches.iter().map(EdgeBatch::len).sum();
-        assert_eq!(rows, edges.len() * 3, "each positive expands to 1 + k rows");
+        assert_eq!(
+            rows,
+            g.num_edges() * 3,
+            "each positive expands to 1 + k rows"
+        );
         for b in &batches {
             assert!(!b.is_empty());
             assert_eq!(b.lefts.len(), b.labels.len());
@@ -201,14 +205,9 @@ mod tests {
     fn edge_batches_deterministic_for_seed() {
         let g = toy_graph();
         let sampler = NegativeSampler::new(&g);
-        let edges: Vec<(NodeId, NodeId, RelationId)> = g
-            .schema()
-            .relations()
-            .flat_map(|r| g.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
         let run = || {
             let mut rng = StdRng::seed_from_u64(9);
-            edge_batches(&g, &sampler, &edges, 2, 2, &mut rng)
+            edge_batches(&g, &sampler, 2, 2, &mut rng)
                 .into_iter()
                 .map(|b| (b.lefts, b.rights, b.relations))
                 .collect::<Vec<_>>()
