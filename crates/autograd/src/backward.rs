@@ -1,9 +1,33 @@
 //! Reverse-mode gradient computation over the tape.
 
-use mhg_tensor::{sigmoid_scalar, Tensor};
+use std::cell::Cell;
+
+use mhg_tensor::{matmul_transposed_into, sigmoid_scalar, transposed_matmul_into};
 
 use crate::graph::{Graph, Op, Var};
-use crate::store::GradStore;
+use crate::store::{GradAccumulator, GradStore, RowIndex};
+
+/// Buffers of a backward pass, kept per thread so that steady-state
+/// training allocates no per-node gradient tensors.
+#[derive(Default)]
+struct Workspace {
+    /// Flat per-node gradients: node `i` owns `grads[off[i]..off[i + 1]]`,
+    /// the size of its forward value.
+    grads: Vec<f32>,
+    off: Vec<usize>,
+    /// Whether node `i` has received a gradient yet.
+    has: Vec<bool>,
+    /// Holds a contribution to a node that already has a gradient.
+    scratch: Vec<f32>,
+    /// Row → slot maps of the embedding tables.
+    row_index: RowIndex,
+}
+
+thread_local! {
+    /// Taken for the length of a pass and put back only when the pass
+    /// completes, so a pass that panics leaves no half-reset state behind.
+    static WORKSPACE: Cell<Option<Box<Workspace>>> = const { Cell::new(None) };
+}
 
 impl Graph<'_> {
     /// Runs the backward pass from a `1 × 1` loss variable and returns the
@@ -26,184 +50,242 @@ impl Graph<'_> {
             loss_t.shape()
         );
 
+        let mut ws = WORKSPACE.with(Cell::take).unwrap_or_default();
+        let store = self.backward_in(&mut ws, loss);
+        WORKSPACE.with(|cell| cell.set(Some(ws)));
+
+        #[cfg(feature = "checked")]
+        self.validate_grads(&store);
+        store
+    }
+
+    fn backward_in(&self, ws: &mut Workspace, loss: Var) -> GradStore {
+        let Workspace {
+            grads,
+            off,
+            has,
+            scratch,
+            row_index,
+        } = ws;
         let n = self.nodes.len();
-        let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        grads[loss.index()] = Some(Tensor::from_vec(1, 1, vec![1.0]));
+        off.clear();
+        let mut total = 0;
+        for node in &self.nodes {
+            off.push(total);
+            total += node.value.len();
+        }
+        off.push(total);
+        if grads.len() < total {
+            grads.resize(total, 0.0);
+        }
+        has.clear();
+        has.resize(n, false);
+        grads[off[loss.index()]] = 1.0;
+        has[loss.index()] = true;
 
-        let mut store = GradStore::new();
-
+        let mut params = GradAccumulator::new(self.store.len(), row_index);
         for i in (0..n).rev() {
-            let Some(g) = grads[i].take() else { continue };
-            match &self.nodes[i].op {
+            if !has[i] {
+                continue;
+            }
+            let node = &self.nodes[i];
+            let (earlier, rest) = grads.split_at_mut(off[i]);
+            let g = &rest[..off[i + 1] - off[i]];
+            let mut out = Sink {
+                grads: earlier,
+                off,
+                has,
+                scratch,
+            };
+            match &node.op {
                 Op::Leaf => {}
-                Op::Param(pid) => store.accumulate_dense(*pid, g),
-                Op::Gather { pid, indices } => store.accumulate_gather(*pid, indices, &g),
+                Op::Param(pid) => params.dense(*pid, node.value.shape(), g),
+                Op::Gather { pid, indices } => {
+                    let table_rows = self.store.value(*pid).rows();
+                    params.gather(*pid, table_rows, indices, node.value.cols(), g);
+                }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g);
+                    out.put(*a, |d| d.copy_from_slice(g));
+                    out.put(*b, |d| d.copy_from_slice(g));
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g.scale(-1.0));
+                    out.put(*a, |d| d.copy_from_slice(g));
+                    // Negation is exact: the same bits as scaling by −1.
+                    out.put(*b, |d| fill(d, |k| -g[k]));
                 }
                 Op::Mul(a, b) => {
-                    let ga = g.mul(self.value(*b));
-                    let gb = g.mul(self.value(*a));
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    let (va, vb) = (self.value(*a).as_slice(), self.value(*b).as_slice());
+                    out.put(*a, |d| fill(d, |k| g[k] * vb[k]));
+                    out.put(*b, |d| fill(d, |k| g[k] * va[k]));
                 }
-                Op::Scale(a, s) => accumulate(&mut grads, *a, g.scale(*s)),
+                Op::Scale(a, s) => out.put(*a, |d| fill(d, |k| g[k] * s)),
                 Op::MatMul(a, b) => {
                     // C = A·B ⇒ dA = dC·Bᵀ, dB = Aᵀ·dC
-                    let ga = g.matmul_transposed(self.value(*b));
-                    let gb = self.value(*a).transpose().matmul(&g);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    let (ta, tb) = (self.value(*a), self.value(*b));
+                    let (m, k, n) = (ta.rows(), ta.cols(), tb.cols());
+                    out.put(*a, |d| {
+                        matmul_transposed_into(g, tb.as_slice(), d, (m, n, k))
+                    });
+                    out.put(*b, |d| {
+                        transposed_matmul_into(ta.as_slice(), g, d, (k, m, n))
+                    });
                 }
-                Op::Transpose(a) => accumulate(&mut grads, *a, g.transpose()),
+                Op::Transpose(a) => {
+                    // g is the c × r gradient of the r × c operand.
+                    let (r, c) = (node.value.cols(), node.value.rows());
+                    out.put(*a, |d| fill(d, |k| g[(k % c) * r + k / c]));
+                }
                 Op::Sigmoid(a) => {
-                    let y = &self.nodes[i].value;
-                    let ga = g.zip_map(y, |gv, yv| gv * yv * (1.0 - yv));
-                    accumulate(&mut grads, *a, ga);
+                    let y = node.value.as_slice();
+                    out.put(*a, |d| fill(d, |k| g[k] * y[k] * (1.0 - y[k])));
                 }
                 Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let ga = g.zip_map(y, |gv, yv| gv * (1.0 - yv * yv));
-                    accumulate(&mut grads, *a, ga);
+                    let y = node.value.as_slice();
+                    out.put(*a, |d| fill(d, |k| g[k] * (1.0 - y[k] * y[k])));
                 }
                 Op::Relu(a) => {
-                    let x = self.value(*a);
-                    let ga = g.zip_map(x, |gv, xv| if xv > 0.0 { gv } else { 0.0 });
-                    accumulate(&mut grads, *a, ga);
+                    let x = self.value(*a).as_slice();
+                    out.put(*a, |d| fill(d, |k| if x[k] > 0.0 { g[k] } else { 0.0 }));
                 }
                 Op::SoftmaxRows(a) => {
                     // Per row: dx = y ⊙ (dy − (dy·y) 1); rows are independent,
                     // so they parallelise under the mhg-par contract.
-                    let y = &self.nodes[i].value;
-                    let cols = y.cols();
-                    let mut ga = Tensor::zeros(y.rows(), cols);
-                    if !ga.is_empty() {
-                        let (gs, ys) = (g.as_slice(), y.as_slice());
-                        mhg_par::par_chunks_mut(ga.as_mut_slice(), cols, 4 * cols, |r0, chunk| {
+                    let y = node.value.as_slice();
+                    let cols = node.value.cols();
+                    out.put(*a, |d| {
+                        if d.is_empty() {
+                            return;
+                        }
+                        mhg_par::par_chunks_mut(d, cols, 4 * cols, |r0, chunk| {
                             for (rr, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
                                 let r = r0 + rr;
-                                let dy = &gs[r * cols..(r + 1) * cols];
-                                let yr = &ys[r * cols..(r + 1) * cols];
+                                let dy = &g[r * cols..(r + 1) * cols];
+                                let yr = &y[r * cols..(r + 1) * cols];
                                 let dot: f32 = dy.iter().zip(yr).map(|(d, v)| d * v).sum();
                                 for ((o, &d), &v) in out_row.iter_mut().zip(dy).zip(yr) {
                                     *o = v * (d - dot);
                                 }
                             }
                         });
-                    }
-                    accumulate(&mut grads, *a, ga);
+                    });
                 }
                 Op::MeanRows(a) => {
-                    let src_rows = self.value(*a).rows();
-                    let inv = 1.0 / src_rows.max(1) as f32;
-                    let mut ga = Tensor::zeros(src_rows, g.cols());
-                    for r in 0..src_rows {
-                        for (o, v) in ga.row_mut(r).iter_mut().zip(g.row(0)) {
-                            *o = v * inv;
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::SumRows(a) => {
-                    let src_rows = self.value(*a).rows();
-                    let mut ga = Tensor::zeros(src_rows, g.cols());
-                    for r in 0..src_rows {
-                        ga.set_row(r, g.row(0));
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::MaxRows(a) => {
-                    let src = self.value(*a);
-                    let y = &self.nodes[i].value;
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    for c in 0..src.cols() {
-                        // First arg-max row receives the gradient.
-                        for r in 0..src.rows() {
-                            if src[(r, c)] == y[(0, c)] {
-                                ga[(r, c)] = g[(0, c)];
-                                break;
+                    let inv = 1.0 / self.value(*a).rows().max(1) as f32;
+                    out.put(*a, |d| {
+                        for row in d.chunks_exact_mut(g.len().max(1)) {
+                            for (o, v) in row.iter_mut().zip(g) {
+                                *o = v * inv;
                             }
                         }
+                    });
+                }
+                Op::SumRows(a) => out.put(*a, |d| {
+                    for row in d.chunks_exact_mut(g.len().max(1)) {
+                        row.copy_from_slice(g);
                     }
-                    accumulate(&mut grads, *a, ga);
+                }),
+                Op::MaxRows(a) => {
+                    let src = self.value(*a);
+                    let y = node.value.as_slice();
+                    let cols = src.cols();
+                    out.put(*a, |d| {
+                        d.fill(0.0);
+                        for c in 0..cols {
+                            // First arg-max row receives the gradient.
+                            if let Some(r) = (0..src.rows()).find(|&r| src[(r, c)] == y[c]) {
+                                d[r * cols + c] = g[c];
+                            }
+                        }
+                    });
                 }
                 Op::ConcatRows(parts) => {
-                    let mut offset = 0;
+                    let mut start = 0;
                     for &p in parts {
-                        let rows = self.value(p).rows();
-                        let indices: Vec<usize> = (offset..offset + rows).collect();
-                        accumulate(&mut grads, p, g.gather_rows(&indices));
-                        offset += rows;
+                        let len = self.value(p).len();
+                        out.put(p, |d| d.copy_from_slice(&g[start..start + len]));
+                        start += len;
                     }
                 }
                 Op::SliceRows(a, start, end) => {
-                    let src = self.value(*a);
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    for (out_r, src_r) in (*start..*end).enumerate() {
-                        ga.set_row(src_r, g.row(out_r));
-                    }
-                    accumulate(&mut grads, *a, ga);
+                    let cols = node.value.cols();
+                    out.put(*a, |d| {
+                        d.fill(0.0);
+                        d[start * cols..end * cols].copy_from_slice(g);
+                    });
                 }
                 Op::RowDot(a, b) => {
                     let (ta, tb) = (self.value(*a), self.value(*b));
-                    let mut ga = Tensor::zeros(ta.rows(), ta.cols());
-                    let mut gb = Tensor::zeros(tb.rows(), tb.cols());
-                    for r in 0..ta.rows() {
-                        let gr = g[(r, 0)];
-                        for (o, &bv) in ga.row_mut(r).iter_mut().zip(tb.row(r)) {
-                            *o = gr * bv;
-                        }
-                        for (o, &av) in gb.row_mut(r).iter_mut().zip(ta.row(r)) {
-                            *o = gr * av;
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    let cols = ta.cols();
+                    out.put(*a, |d| fill(d, |k| g[k / cols] * tb.as_slice()[k]));
+                    out.put(*b, |d| fill(d, |k| g[k / cols] * ta.as_slice()[k]));
                 }
                 Op::AddBroadcastRow(a, bias) => {
                     // d bias = column sums of g.
-                    let mut gb = Tensor::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for (o, v) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
-                            *o += v;
+                    let cols = node.value.cols();
+                    out.put(*a, |d| d.copy_from_slice(g));
+                    out.put(*bias, |d| {
+                        d.fill(0.0);
+                        for row in g.chunks_exact(cols.max(1)) {
+                            for (o, v) in d.iter_mut().zip(row) {
+                                *o += v;
+                            }
                         }
-                    }
-                    accumulate(&mut grads, *a, g);
-                    accumulate(&mut grads, *bias, gb);
+                    });
                 }
                 Op::LogisticLoss { scores, labels } => {
                     // L = mean_i −log σ(y_i s_i) ⇒ dL/ds_i = −y_i σ(−y_i s_i)/n
-                    let s = self.value(*scores);
+                    let s = self.value(*scores).as_slice();
                     let n = labels.len().max(1) as f32;
-                    let upstream = g[(0, 0)];
-                    let mut gs = Tensor::zeros(s.rows(), 1);
-                    for (r, &y) in labels.iter().enumerate() {
-                        gs[(r, 0)] = upstream * (-y * sigmoid_scalar(-y * s[(r, 0)])) / n;
-                    }
-                    accumulate(&mut grads, *scores, gs);
+                    let upstream = g[0];
+                    out.put(*scores, |d| {
+                        for ((o, &y), &sc) in d.iter_mut().zip(labels).zip(s) {
+                            *o = upstream * (-y * sigmoid_scalar(-y * sc)) / n;
+                        }
+                    });
                 }
-                Op::SumAll(a) => {
-                    let src = self.value(*a);
-                    let ga = Tensor::full(src.rows(), src.cols(), g[(0, 0)]);
-                    accumulate(&mut grads, *a, ga);
-                }
+                Op::SumAll(a) => out.put(*a, |d| d.fill(g[0])),
             }
         }
-
-        #[cfg(feature = "checked")]
-        self.validate_grads(&store);
-        store
+        params.finish()
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: Tensor) {
-    match &mut grads[v.index()] {
-        Some(existing) => existing.axpy(1.0, &g),
-        slot @ None => *slot = Some(g),
+/// Where one node's backward rule delivers its operands' gradients: the
+/// arena below the node, so each operand slot is disjoint from `g`.
+struct Sink<'a> {
+    grads: &'a mut [f32],
+    off: &'a [usize],
+    has: &'a mut [bool],
+    scratch: &'a mut Vec<f32>,
+}
+
+impl Sink<'_> {
+    /// Delivers one contribution to `v`'s gradient. `write` must overwrite
+    /// every entry of the slice it is given with the contribution. The first
+    /// contribution is written straight into `v`'s slot; a later one goes
+    /// to scratch and is then added in, entry by entry.
+    fn put(&mut self, v: Var, write: impl FnOnce(&mut [f32])) {
+        let i = v.index();
+        let dst = &mut self.grads[self.off[i]..self.off[i + 1]];
+        if !self.has[i] {
+            self.has[i] = true;
+            write(dst);
+            return;
+        }
+        self.scratch.clear();
+        self.scratch.resize(dst.len(), 0.0);
+        write(self.scratch);
+        for (d, s) in dst.iter_mut().zip(self.scratch.iter()) {
+            *d += s;
+        }
     }
+}
+
+/// `d[k] = f(k)` for every `k`, on the `mhg-par` pool.
+fn fill(d: &mut [f32], f: impl Fn(usize) -> f32 + Sync) {
+    mhg_par::par_chunks_mut(d, 1, 4, |start, chunk| {
+        for (k, o) in chunk.iter_mut().enumerate() {
+            *o = f(start + k);
+        }
+    });
 }

@@ -6,6 +6,8 @@
 //! [`GradStore`](crate::GradStore). Variables ([`Var`]) are indices into the
 //! tape and are `Copy`.
 
+use std::borrow::Cow;
+
 use mhg_tensor::Tensor;
 
 use crate::store::{ParamId, ParamStore};
@@ -70,15 +72,17 @@ pub(crate) enum Op {
     SumAll(Var),
 }
 
-pub(crate) struct Node {
-    pub value: Tensor,
+/// A tape node: its forward value and the op that produced it. A `Param`
+/// node borrows its value from the [`ParamStore`] instead of copying it.
+pub(crate) struct Node<'s> {
+    pub value: Cow<'s, Tensor>,
     pub op: Op,
 }
 
 /// A per-step reverse-mode differentiation tape.
 pub struct Graph<'s> {
     pub(crate) store: &'s ParamStore,
-    pub(crate) nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node<'s>>,
 }
 
 impl<'s> Graph<'s> {
@@ -91,6 +95,10 @@ impl<'s> Graph<'s> {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        self.record(Cow::Owned(value), op)
+    }
+
+    fn record(&mut self, value: Cow<'s, Tensor>, op: Op) -> Var {
         #[cfg(feature = "checked")]
         value.assert_finite(&format!("recording tape node {op:?}"));
         #[cfg(not(feature = "checked"))]
@@ -145,11 +153,11 @@ impl<'s> Graph<'s> {
 
     /// Records a whole parameter as a differentiable leaf.
     ///
-    /// Copies the value onto the tape — intended for small weight matrices.
-    /// For embedding tables use [`Graph::gather`].
+    /// The node borrows the store's value, so recording costs no copy; its
+    /// gradient is still dense, so this is meant for weight matrices. For
+    /// embedding tables use [`Graph::gather`].
     pub fn param(&mut self, id: ParamId) -> Var {
-        let value = self.store.value(id).clone();
-        self.push(value, Op::Param(id))
+        self.record(Cow::Borrowed(self.store.value(id)), Op::Param(id))
     }
 
     /// Gathers rows `indices` of parameter `id` into an `n × d` variable.
@@ -158,8 +166,8 @@ impl<'s> Graph<'s> {
     /// full table is never materialised on the tape.
     pub fn gather(&mut self, id: ParamId, indices: &[u32]) -> Var {
         let table = self.store.value(id);
-        let mut out = Tensor::zeros(indices.len(), table.cols());
-        for (r, &idx) in indices.iter().enumerate() {
+        let mut data = Vec::with_capacity(indices.len() * table.cols());
+        for &idx in indices {
             assert!(
                 (idx as usize) < table.rows(),
                 "gather: row index {idx} out of bounds for parameter table \
@@ -167,10 +175,10 @@ impl<'s> Graph<'s> {
                 self.store.name(id),
                 table.rows()
             );
-            out.set_row(r, table.row(idx as usize));
+            data.extend_from_slice(table.row(idx as usize));
         }
         self.push(
-            out,
+            Tensor::from_vec(indices.len(), table.cols(), data),
             Op::Gather {
                 pid: id,
                 indices: indices.to_vec(),
@@ -264,8 +272,7 @@ impl<'s> Graph<'s> {
 
     /// Column-wise sum producing a `1 × d` row vector.
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let src = self.value(a);
-        let value = src.mean_rows().scale(src.rows() as f32);
+        let value = self.value(a).sum_rows();
         self.push(value, Op::SumRows(a))
     }
 
@@ -312,8 +319,9 @@ impl<'s> Graph<'s> {
             start < end && end <= src.rows(),
             "bad row slice {start}..{end}"
         );
-        let indices: Vec<usize> = (start..end).collect();
-        let value = src.gather_rows(&indices);
+        let cols = src.cols();
+        let rows = src.as_slice()[start * cols..end * cols].to_vec();
+        let value = Tensor::from_vec(end - start, cols, rows);
         self.push(value, Op::SliceRows(a, start, end))
     }
 

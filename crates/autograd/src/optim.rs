@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use mhg_tensor::Tensor;
 
-use crate::store::{Grad, GradStore, ParamId, ParamStore};
+use crate::store::{row_pairs, Grad, GradStore, ParamId, ParamStore};
 
 /// Common optimizer interface.
 pub trait Optimizer {
@@ -49,7 +49,8 @@ impl Sgd {
         prefix: &str,
         dict: &mhg_ckpt::StateDict,
     ) -> Result<(), mhg_ckpt::CkptError> {
-        self.lr = f32::from_bits(dict.u64(&format!("{prefix}/lr"))? as u32);
+        let key = format!("{prefix}/lr");
+        self.lr = f32::from_bits(u32_entry(dict.u64(&key)?, &key)?);
         Ok(())
     }
 }
@@ -60,8 +61,8 @@ impl Optimizer for Sgd {
             let value = params.value_mut(id);
             match grad {
                 Grad::Dense(g) => value.axpy(-self.lr, g),
-                Grad::Rows { rows, .. } => {
-                    for (&r, g) in rows {
+                Grad::Rows { cols, rows, data } => {
+                    for (r, g) in row_pairs(rows, data, *cols) {
                         for (v, gv) in value.row_mut(r).iter_mut().zip(g) {
                             *v -= self.lr * gv;
                         }
@@ -97,6 +98,7 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     states: BTreeMap<ParamId, AdamState>,
+    corrections: Corrections,
 }
 
 impl Adam {
@@ -115,16 +117,8 @@ impl Adam {
             beta2,
             eps,
             states: BTreeMap::new(),
+            corrections: Corrections::default(),
         }
-    }
-
-    fn state_for(&mut self, id: ParamId, shape: (usize, usize)) -> &mut AdamState {
-        self.states.entry(id).or_insert_with(|| AdamState {
-            m: Tensor::zeros(shape.0, shape.1),
-            v: Tensor::zeros(shape.0, shape.1),
-            row_steps: vec![0; shape.0],
-            step: 0,
-        })
     }
 
     /// Serialises every per-parameter moment estimate into `dict` under
@@ -169,8 +163,13 @@ impl Adam {
                     "adam state for parameter {raw}"
                 )));
             }
-            let row_steps = rows.iter().map(|&s| s as u32).collect();
-            let step = dict.u64(&format!("{prefix}/{raw}/step"))? as u32;
+            let rows_key = format!("{prefix}/{raw}/rows");
+            let row_steps = rows
+                .iter()
+                .map(|&s| u32_entry(s, &rows_key))
+                .collect::<Result<_, _>>()?;
+            let step_key = format!("{prefix}/{raw}/step");
+            let step = u32_entry(dict.u64(&step_key)?, &step_key)?;
             states.insert(
                 ParamId(raw),
                 AdamState {
@@ -186,61 +185,87 @@ impl Adam {
     }
 }
 
+fn state_for(
+    states: &mut BTreeMap<ParamId, AdamState>,
+    id: ParamId,
+    shape: (usize, usize),
+) -> &mut AdamState {
+    states.entry(id).or_insert_with(|| AdamState {
+        m: Tensor::zeros(shape.0, shape.1),
+        v: Tensor::zeros(shape.0, shape.1),
+        row_steps: vec![0; shape.0],
+        step: 0,
+    })
+}
+
+/// `(lr, β₁, β₂, ε)`.
+type AdamHyper = (f32, f32, f32, f32);
+
+/// One Adam update of parameter entries `p` from gradient `g` and their
+/// moments `m`, `v`, with bias corrections `(bc1, bc2)`.
+fn adam_update(
+    p: &mut [f32],
+    g: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    (lr, b1, b2, eps): AdamHyper,
+    (bc1, bc2): (f32, f32),
+) {
+    for (((p, gv), mv), vv) in p.iter_mut().zip(g).zip(m).zip(v) {
+        *mv = b1 * *mv + (1.0 - b1) * gv;
+        *vv = b2 * *vv + (1.0 - b2) * gv * gv;
+        let m_hat = *mv / bc1;
+        let v_hat = *vv / bc2;
+        *p -= lr * m_hat / (v_hat.sqrt() + eps);
+    }
+}
+
+/// Memoized bias corrections: entry `t` is `(1 − β₁ᵗ, 1 − β₂ᵗ)`. A lazy
+/// update needs them per touched row, and `powf` is the costliest part of
+/// a row update at `d_h = 8`; a table lookup returns the same bits.
+#[derive(Default)]
+struct Corrections(Vec<(f32, f32)>);
+
+impl Corrections {
+    fn get(&mut self, t: u32, (_, b1, b2, _): AdamHyper) -> (f32, f32) {
+        let t = t as usize;
+        while self.0.len() <= t {
+            let s = self.0.len() as f32;
+            self.0.push((1.0 - b1.powf(s), 1.0 - b2.powf(s)));
+        }
+        self.0[t]
+    }
+}
+
+/// A u64 checkpoint entry of `key` as a u32, or `WrongType` naming the key.
+fn u32_entry(value: u64, key: &str) -> Result<u32, mhg_ckpt::CkptError> {
+    u32::try_from(value)
+        .map_err(|_| mhg_ckpt::CkptError::WrongType(format!("{key}: {value} does not fit a u32")))
+}
+
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
+        let hyper = (self.lr, self.beta1, self.beta2, self.eps);
         for (id, grad) in grads.iter() {
             let shape = {
                 let v = params.value(id);
                 (v.rows(), v.cols())
             };
-            let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-            let state = self.state_for(id, shape);
+            let state = state_for(&mut self.states, id, shape);
             let value = params.value_mut(id);
             match grad {
                 Grad::Dense(g) => {
                     state.step += 1;
-                    let t = state.step as f32;
-                    let bc1 = 1.0 - b1.powf(t);
-                    let bc2 = 1.0 - b2.powf(t);
+                    let bc = self.corrections.get(state.step, hyper);
                     let (m, v) = (state.m.as_mut_slice(), state.v.as_mut_slice());
-                    for (((p, gv), mv), vv) in value
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(g.as_slice())
-                        .zip(m.iter_mut())
-                        .zip(v.iter_mut())
-                    {
-                        *mv = b1 * *mv + (1.0 - b1) * gv;
-                        *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                        let m_hat = *mv / bc1;
-                        let v_hat = *vv / bc2;
-                        *p -= lr * m_hat / (v_hat.sqrt() + eps);
-                    }
+                    adam_update(value.as_mut_slice(), g.as_slice(), m, v, hyper, bc);
                 }
-                Grad::Rows { rows, .. } => {
-                    for (&r, g) in rows {
+                Grad::Rows { cols, rows, data } => {
+                    for (r, g) in row_pairs(rows, data, *cols) {
                         state.row_steps[r] += 1;
-                        let t = state.row_steps[r] as f32;
-                        let bc1 = 1.0 - b1.powf(t);
-                        let bc2 = 1.0 - b2.powf(t);
-                        let m_row = state.m.row_mut(r);
-                        for (mv, gv) in m_row.iter_mut().zip(g) {
-                            *mv = b1 * *mv + (1.0 - b1) * gv;
-                        }
-                        let v_row = state.v.row_mut(r);
-                        for (vv, gv) in v_row.iter_mut().zip(g) {
-                            *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                        }
-                        for ((p, mv), vv) in value
-                            .row_mut(r)
-                            .iter_mut()
-                            .zip(state.m.row(r))
-                            .zip(state.v.row(r))
-                        {
-                            let m_hat = mv / bc1;
-                            let v_hat = vv / bc2;
-                            *p -= lr * m_hat / (v_hat.sqrt() + eps);
-                        }
+                        let bc = self.corrections.get(state.row_steps[r], hyper);
+                        let (m, v) = (state.m.row_mut(r), state.v.row_mut(r));
+                        adam_update(value.row_mut(r), g, m, v, hyper, bc);
                     }
                 }
             }
@@ -313,6 +338,75 @@ mod tests {
         assert!(t.row(1).iter().all(|&v| v == 0.0));
         assert!(t.row(3).iter().all(|&v| v == 0.0));
         assert!(t.row(2).iter().all(|&v| (v - 1.0).abs() < 0.05), "{t:?}");
+    }
+
+    /// An exported Adam state with one dense and one sparse parameter.
+    fn adam_state() -> mhg_ckpt::StateDict {
+        let mut params = ParamStore::new();
+        let w = params.register("w", Tensor::from_vec(1, 1, vec![0.0]));
+        let table = params.register("emb", Tensor::zeros(3, 2));
+        let mut opt = Adam::new(0.1);
+        let mut g = Graph::new(&params);
+        let wv = g.param(w);
+        let rows = g.gather(table, &[1]);
+        let a = g.sum_all(wv);
+        let b = g.sum_all(rows);
+        let loss = g.add(a, b);
+        let grads = g.backward(loss);
+        opt.step(&mut params, &grads);
+        let mut dict = mhg_ckpt::StateDict::new();
+        opt.export_state("opt", &mut dict);
+        dict
+    }
+
+    fn wrong_type_key(err: mhg_ckpt::CkptError) -> String {
+        match err {
+            mhg_ckpt::CkptError::WrongType(msg) => msg,
+            other => panic!("expected WrongType, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn adam_state_roundtrips() {
+        let dict = adam_state();
+        let mut opt = Adam::new(0.1);
+        opt.import_state("opt", &dict).unwrap();
+        let mut again = mhg_ckpt::StateDict::new();
+        opt.export_state("opt", &mut again);
+        assert_eq!(again.u64s("opt/1/rows").unwrap(), &[0, 1, 0]);
+        assert_eq!(again.u64("opt/0/step").unwrap(), 1);
+    }
+
+    #[test]
+    fn adam_import_rejects_counters_beyond_u32() {
+        let too_big = u64::from(u32::MAX) + 1;
+        let mut dict = adam_state();
+        dict.put_u64s("opt/1/rows", vec![0, too_big, 0]);
+        let err = Adam::new(0.1).import_state("opt", &dict).unwrap_err();
+        assert!(wrong_type_key(err).contains("opt/1/rows"));
+
+        let mut dict = adam_state();
+        dict.put_u64("opt/0/step", too_big);
+        let err = Adam::new(0.1).import_state("opt", &dict).unwrap_err();
+        assert!(wrong_type_key(err).contains("opt/0/step"));
+    }
+
+    #[test]
+    fn sgd_import_rejects_a_learning_rate_beyond_u32() {
+        let mut dict = mhg_ckpt::StateDict::new();
+        Sgd::new(0.5).export_state("opt", &mut dict);
+        let mut opt = Sgd::new(0.1);
+        opt.import_state("opt", &dict).unwrap();
+        assert_eq!(opt.learning_rate(), 0.5);
+
+        dict.put_u64("opt/lr", u64::from(u32::MAX) + 1);
+        let err = opt.import_state("opt", &dict).unwrap_err();
+        assert!(wrong_type_key(err).contains("opt/lr"));
+        assert_eq!(
+            opt.learning_rate(),
+            0.5,
+            "a rejected import changes nothing"
+        );
     }
 
     #[test]

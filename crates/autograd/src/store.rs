@@ -6,7 +6,6 @@
 //! Gradients accumulate into a [`GradStore`], which keeps embedding-table
 //! gradients sparse (per-row) — the optimizer then only updates touched rows.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mhg_tensor::Tensor;
@@ -144,13 +143,16 @@ impl fmt::Debug for ParamStore {
 pub enum Grad {
     /// Dense gradient with the parameter's full shape.
     Dense(Tensor),
-    /// Sparse per-row gradients (row index → gradient row).
+    /// Sparse row gradients of an embedding table, stored flat.
     Rows {
         /// Width of every gradient row.
         cols: usize,
-        /// Accumulated row gradients (ordered, so iteration order —
+        /// The touched table rows, strictly ascending (so iteration order —
         /// and anything serialized or reduced from it — is deterministic).
-        rows: BTreeMap<usize, Vec<f32>>,
+        rows: Vec<u32>,
+        /// `rows.len() × cols` entries: gradient row `k` (at
+        /// `data[k * cols..(k + 1) * cols]`) belongs to table row `rows[k]`.
+        data: Vec<f32>,
     },
 }
 
@@ -159,36 +161,39 @@ impl Grad {
     pub fn norm_sq(&self) -> f32 {
         match self {
             Grad::Dense(t) => t.norm_sq(),
-            Grad::Rows { rows, .. } => rows
-                .values()
-                .map(|r| r.iter().map(|v| v * v).sum::<f32>())
+            Grad::Rows { cols, rows, data } => row_pairs(rows, data, *cols)
+                .map(|(_, r)| r.iter().map(|v| v * v).sum::<f32>())
                 .sum(),
         }
     }
 
     /// Scales the gradient in place.
     pub fn scale_in_place(&mut self, s: f32) {
-        match self {
-            Grad::Dense(t) => {
-                for v in t.as_mut_slice() {
-                    *v *= s;
-                }
-            }
-            Grad::Rows { rows, .. } => {
-                for r in rows.values_mut() {
-                    for v in r {
-                        *v *= s;
-                    }
-                }
-            }
+        let values = match self {
+            Grad::Dense(t) => t.as_mut_slice(),
+            Grad::Rows { data, .. } => data.as_mut_slice(),
+        };
+        for v in values {
+            *v *= s;
         }
     }
 }
 
-/// Accumulated gradients for a training step, keyed by [`ParamId`].
+/// Iterates `(table row, gradient row)` over a [`Grad::Rows`] layout.
+pub(crate) fn row_pairs<'a>(
+    rows: &'a [u32],
+    data: &'a [f32],
+    cols: usize,
+) -> impl Iterator<Item = (usize, &'a [f32])> {
+    rows.iter()
+        .enumerate()
+        .map(move |(k, &r)| (r as usize, &data[k * cols..(k + 1) * cols]))
+}
+
+/// Accumulated gradients for a training step, indexed by [`ParamId`].
 #[derive(Default, Debug)]
 pub struct GradStore {
-    grads: BTreeMap<ParamId, Grad>,
+    grads: Vec<Option<Grad>>,
 }
 
 impl GradStore {
@@ -197,164 +202,40 @@ impl GradStore {
         Self::default()
     }
 
-    /// Accumulates a dense gradient for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` already has a sparse gradient of mismatched width, or a
-    /// dense gradient of a different shape.
-    pub fn accumulate_dense(&mut self, id: ParamId, grad: Tensor) {
-        match self.grads.get_mut(&id) {
-            None => {
-                self.grads.insert(id, Grad::Dense(grad));
-            }
-            Some(Grad::Dense(existing)) => existing.axpy(1.0, &grad),
-            Some(Grad::Rows { cols, rows }) => {
-                // Promote by folding the dense grad into rows.
-                assert_eq!(*cols, grad.cols(), "gradient width mismatch");
-                for r in 0..grad.rows() {
-                    let entry = rows.entry(r).or_insert_with(|| vec![0.0; *cols]);
-                    for (e, g) in entry.iter_mut().zip(grad.row(r)) {
-                        *e += g;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accumulates a gradient for a single row of parameter `id`.
-    pub fn accumulate_row(&mut self, id: ParamId, row: usize, grad_row: &[f32]) {
-        match self.grads.get_mut(&id) {
-            Some(Grad::Dense(existing)) => {
-                assert_eq!(existing.cols(), grad_row.len(), "gradient width mismatch");
-                for (e, g) in existing.row_mut(row).iter_mut().zip(grad_row) {
-                    *e += g;
-                }
-            }
-            Some(Grad::Rows { cols, rows }) => {
-                assert_eq!(*cols, grad_row.len(), "gradient width mismatch");
-                let entry = rows.entry(row).or_insert_with(|| vec![0.0; *cols]);
-                for (e, g) in entry.iter_mut().zip(grad_row) {
-                    *e += g;
-                }
-            }
-            None => {
-                let mut rows = BTreeMap::new();
-                rows.insert(row, grad_row.to_vec());
-                self.grads.insert(
-                    id,
-                    Grad::Rows {
-                        cols: grad_row.len(),
-                        rows,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Accumulates the gradient of a whole gathered batch at once:
-    /// `grad.row(r)` is added into row `indices[r]` of parameter `id`.
-    ///
-    /// Runs on the `mhg-par` pool while keeping the sparse representation:
-    /// workers build partial row maps over fixed destination-index ranges
-    /// (each destination row's contributions are visited in input order, so
-    /// its sum is the same for any partition of the index space), and the
-    /// disjoint partials merge in partition order — bit-identical for any
-    /// worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices.len() != grad.rows()` or the width mismatches an
-    /// existing gradient for `id`.
-    pub fn accumulate_gather(&mut self, id: ParamId, indices: &[u32], grad: &Tensor) {
-        use std::collections::btree_map::Entry;
-        assert_eq!(
-            indices.len(),
-            grad.rows(),
-            "accumulate_gather: {} indices for {} gradient rows",
-            indices.len(),
-            grad.rows()
-        );
-        if indices.is_empty() {
-            return;
-        }
-        if let Some(Grad::Dense(existing)) = self.grads.get_mut(&id) {
-            existing.scatter_add_rows(indices, grad);
-            return;
-        }
-        let cols = grad.cols();
-        let span = indices
-            .iter()
-            .map(|&i| i as usize)
-            .max()
-            .map_or(0, |m| m + 1);
-        let partials = mhg_par::par_partitions(span, indices.len() * (cols + 1), |range| {
-            let mut map: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
-            for (r, &idx) in indices.iter().enumerate() {
-                let idx = idx as usize;
-                if range.contains(&idx) {
-                    let entry = map.entry(idx).or_insert_with(|| vec![0.0; cols]);
-                    for (e, g) in entry.iter_mut().zip(grad.row(r)) {
-                        *e += g;
-                    }
-                }
-            }
-            map
-        });
-        match self.grads.entry(id).or_insert_with(|| Grad::Rows {
-            cols,
-            rows: BTreeMap::new(),
-        }) {
-            // Unreachable in practice (handled above), but kept correct.
-            Grad::Dense(existing) => existing.scatter_add_rows(indices, grad),
-            Grad::Rows { cols: width, rows } => {
-                assert_eq!(*width, cols, "gradient width mismatch");
-                for map in partials {
-                    for (row, partial) in map {
-                        match rows.entry(row) {
-                            Entry::Occupied(mut e) => {
-                                for (a, b) in e.get_mut().iter_mut().zip(&partial) {
-                                    *a += b;
-                                }
-                            }
-                            Entry::Vacant(v) => {
-                                v.insert(partial);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The gradient for `id`, if any part of the model touched it.
     pub fn get(&self, id: ParamId) -> Option<&Grad> {
-        self.grads.get(&id)
+        self.grads.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Iterates over `(id, grad)` pairs.
+    /// Iterates over `(id, grad)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Grad)> {
-        self.grads.iter().map(|(&id, g)| (id, g))
+        self.grads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, g)| Some((ParamId(i as u32), g.as_ref()?)))
     }
 
-    /// Mutable iteration (used by clipping).
+    /// Mutable iteration in ascending id order (used by clipping).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Grad)> {
-        self.grads.iter_mut().map(|(&id, g)| (id, g))
+        self.grads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, g)| Some((ParamId(i as u32), g.as_mut()?)))
     }
 
     /// Number of parameters with gradients.
     pub fn len(&self) -> usize {
-        self.grads.len()
+        self.grads.iter().flatten().count()
     }
 
     /// Whether no gradients were recorded.
     pub fn is_empty(&self) -> bool {
-        self.grads.is_empty()
+        self.len() == 0
     }
 
     /// Global L2 norm across all stored gradients.
     pub fn global_norm(&self) -> f32 {
-        self.grads.values().map(Grad::norm_sq).sum::<f32>().sqrt()
+        self.iter().map(|(_, g)| g.norm_sq()).sum::<f32>().sqrt()
     }
 
     /// Clips gradients so the global norm is at most `max_norm`.
@@ -364,7 +245,7 @@ impl GradStore {
         let norm = self.global_norm();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
-            for g in self.grads.values_mut() {
+            for (_, g) in self.iter_mut() {
                 g.scale_in_place(s);
             }
         }
@@ -375,11 +256,15 @@ impl GradStore {
     /// (zeros where untouched). Test helper.
     pub fn to_dense(&self, id: ParamId, rows: usize, cols: usize) -> Tensor {
         let mut out = Tensor::zeros(rows, cols);
-        match self.grads.get(&id) {
+        match self.get(id) {
             None => {}
             Some(Grad::Dense(t)) => out = t.clone(),
-            Some(Grad::Rows { rows: map, .. }) => {
-                for (&r, g) in map {
+            Some(Grad::Rows {
+                cols: width,
+                rows: ids,
+                data,
+            }) => {
+                for (r, g) in row_pairs(ids, data, *width) {
                     for (o, v) in out.row_mut(r).iter_mut().zip(g) {
                         *o += v;
                     }
@@ -387,6 +272,263 @@ impl GradStore {
             }
         }
         out
+    }
+}
+
+/// Marks a table row with no slot in a [`RowIndex`].
+const NO_SLOT: u32 = u32::MAX;
+
+/// Row → slot maps of the embedding tables, by parameter id. Every entry is
+/// [`NO_SLOT`] between backward passes, so one set of maps serves every
+/// pass on a thread without being cleared in full.
+pub(crate) type RowIndex = Vec<Vec<u32>>;
+
+/// One parameter's gradient while a backward pass is still summing it.
+enum Partial {
+    Dense(Tensor),
+    Rows(RowAccum),
+}
+
+/// Sparse row gradient of one table under accumulation: rows live in slots
+/// in first-touch order and are sorted once, in [`GradAccumulator::finish`].
+struct RowAccum {
+    cols: usize,
+    /// Table row of each slot.
+    rows: Vec<u32>,
+    /// Slot-major gradient rows, `rows.len() × cols`.
+    data: Vec<f32>,
+    /// The last gather (by serial number) that touched each slot.
+    seen: Vec<u32>,
+    /// For a slot touched by the current gather: where its partial sits in
+    /// [`GradAccumulator::partial`], or [`NO_SLOT`] when the slot was
+    /// created by this gather and its data *is* the partial.
+    partial_at: Vec<u32>,
+    /// Serial number of the current gather.
+    gather: u32,
+}
+
+impl RowAccum {
+    fn new(cols: usize) -> Self {
+        Self {
+            cols,
+            rows: Vec::new(),
+            data: Vec::new(),
+            seen: Vec::new(),
+            partial_at: Vec::new(),
+            gather: 0,
+        }
+    }
+
+    /// Appends a slot for table row `row`, its data `0.0 + src` (so a
+    /// `-0.0` entry becomes `+0.0`, as a sum started at zero would).
+    fn new_slot(&mut self, index: &mut [u32], row: u32, src: &[f32]) {
+        index[row as usize] = self.rows.len() as u32;
+        self.rows.push(row);
+        self.seen.push(self.gather);
+        self.partial_at.push(NO_SLOT);
+        self.data.extend(src.iter().map(|v| 0.0 + v));
+    }
+
+    fn slot_mut(&mut self, slot: usize) -> &mut [f32] {
+        &mut self.data[slot * self.cols..(slot + 1) * self.cols]
+    }
+}
+
+/// Sums the parameter gradients of one backward pass, in the order the
+/// pass delivers them, into a [`GradStore`].
+///
+/// The summation order is the contract (it fixes every bit of the result):
+///
+/// * a parameter's first contribution fixes its representation: a whole
+///   [`Graph::param`](crate::Graph::param) use makes it [`Grad::Dense`], a
+///   non-empty [`Graph::gather`](crate::Graph::gather) makes it
+///   [`Grad::Rows`];
+/// * a gather into a dense gradient adds each gathered row straight into
+///   its destination row, in gather order (`Tensor::scatter_add_rows`);
+/// * a gather into a row gradient first sums its own rows per destination
+///   row, starting at `0.0` and in gather order, and then adds each such
+///   partial into the row total (a new row's total *is* its partial);
+/// * a dense contribution to a row gradient adds every table row into the
+///   row total, starting new rows at `0.0`.
+pub(crate) struct GradAccumulator<'w> {
+    grads: Vec<Option<Partial>>,
+    index: &'w mut RowIndex,
+    /// Slots holding a partial for the current gather, in first-touch order.
+    partial_slots: Vec<u32>,
+    /// Their partials, `partial_slots.len() × cols`.
+    partial: Vec<f32>,
+}
+
+impl<'w> GradAccumulator<'w> {
+    /// An empty accumulator for a store of `num_params` parameters, whose
+    /// row maps live in `index` (all entries [`NO_SLOT`]).
+    pub(crate) fn new(num_params: usize, index: &'w mut RowIndex) -> Self {
+        if index.len() < num_params {
+            index.resize_with(num_params, Vec::new);
+        }
+        Self {
+            grads: (0..num_params).map(|_| None).collect(),
+            index,
+            partial_slots: Vec::new(),
+            partial: Vec::new(),
+        }
+    }
+
+    /// Adds a dense gradient (`shape` of the parameter, row-major `grad`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width mismatches an existing gradient for `id`.
+    pub(crate) fn dense(&mut self, id: ParamId, shape: mhg_tensor::Shape, grad: &[f32]) {
+        assert_eq!(grad.len(), shape.rows * shape.cols, "dense gradient length");
+        let index = &mut self.index[id.index()];
+        match &mut self.grads[id.index()] {
+            slot @ None => {
+                *slot = Some(Partial::Dense(Tensor::from_vec(
+                    shape.rows,
+                    shape.cols,
+                    grad.to_vec(),
+                )));
+            }
+            Some(Partial::Dense(existing)) => {
+                assert_eq!(existing.shape(), shape, "gradient shape mismatch");
+                for (e, g) in existing.as_mut_slice().iter_mut().zip(grad) {
+                    *e += g;
+                }
+            }
+            Some(Partial::Rows(acc)) => {
+                assert_eq!(acc.cols, shape.cols, "gradient width mismatch");
+                if index.len() < shape.rows {
+                    index.resize(shape.rows, NO_SLOT);
+                }
+                let cols = shape.cols;
+                for r in 0..shape.rows {
+                    let src = &grad[r * cols..(r + 1) * cols];
+                    match index[r] {
+                        NO_SLOT => acc.new_slot(index, r as u32, src),
+                        slot => {
+                            for (e, g) in acc.slot_mut(slot as usize).iter_mut().zip(src) {
+                                *e += g;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the gradient of a gathered batch: row `r` of `grad`
+    /// (`indices.len() × cols`, row-major) belongs to row `indices[r]` of
+    /// the `table_rows`-row parameter `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a length or width mismatch, or an out-of-range index.
+    pub(crate) fn gather(
+        &mut self,
+        id: ParamId,
+        table_rows: usize,
+        indices: &[u32],
+        cols: usize,
+        grad: &[f32],
+    ) {
+        assert_eq!(
+            indices.len() * cols,
+            grad.len(),
+            "gather gradient: {} indices of width {cols} for {} entries",
+            indices.len(),
+            grad.len()
+        );
+        if indices.is_empty() {
+            return;
+        }
+        let index = &mut self.index[id.index()];
+        if index.len() < table_rows {
+            index.resize(table_rows, NO_SLOT);
+        }
+        let acc = match self.grads[id.index()]
+            .get_or_insert_with(|| Partial::Rows(RowAccum::new(cols)))
+        {
+            Partial::Dense(existing) => {
+                // Rare (a table first reached as a whole `param`), so the
+                // copy into a tensor is not worth a second kernel.
+                let src = Tensor::from_vec(indices.len(), cols, grad.to_vec());
+                existing.scatter_add_rows(indices, &src);
+                return;
+            }
+            Partial::Rows(acc) => acc,
+        };
+        assert_eq!(acc.cols, cols, "gradient width mismatch");
+        acc.gather += 1;
+        for (r, &idx) in indices.iter().enumerate() {
+            let src = &grad[r * cols..(r + 1) * cols];
+            let slot = match index[idx as usize] {
+                NO_SLOT => {
+                    acc.new_slot(index, idx, src);
+                    continue;
+                }
+                slot => slot as usize,
+            };
+            let dst = if acc.seen[slot] != acc.gather {
+                // First time this gather meets an existing row: open a
+                // partial for it.
+                acc.seen[slot] = acc.gather;
+                acc.partial_at[slot] = self.partial_slots.len() as u32;
+                self.partial_slots.push(slot as u32);
+                self.partial.extend(src.iter().map(|v| 0.0 + v));
+                continue;
+            } else if acc.partial_at[slot] == NO_SLOT {
+                acc.slot_mut(slot)
+            } else {
+                let at = acc.partial_at[slot] as usize;
+                &mut self.partial[at * cols..(at + 1) * cols]
+            };
+            for (d, v) in dst.iter_mut().zip(src) {
+                *d += v;
+            }
+        }
+        for (k, &slot) in self.partial_slots.iter().enumerate() {
+            let src = &self.partial[k * cols..(k + 1) * cols];
+            for (d, v) in acc.slot_mut(slot as usize).iter_mut().zip(src) {
+                *d += v;
+            }
+            acc.partial_at[slot as usize] = NO_SLOT;
+        }
+        self.partial_slots.clear();
+        self.partial.clear();
+    }
+
+    /// Sorts every row gradient by table row, returns the gradients and
+    /// resets the row maps for the next pass.
+    pub(crate) fn finish(self) -> GradStore {
+        let grads = self
+            .grads
+            .into_iter()
+            .zip(self.index.iter_mut())
+            .map(|(partial, index)| match partial? {
+                Partial::Dense(t) => Some(Grad::Dense(t)),
+                Partial::Rows(acc) => {
+                    let mut order: Vec<(u32, u32)> = acc
+                        .rows
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, &row)| (row, slot as u32))
+                        .collect();
+                    order.sort_unstable();
+                    let cols = acc.cols;
+                    let mut rows = Vec::with_capacity(order.len());
+                    let mut data = Vec::with_capacity(acc.data.len());
+                    for (row, slot) in order {
+                        index[row as usize] = NO_SLOT;
+                        rows.push(row);
+                        let slot = slot as usize;
+                        data.extend_from_slice(&acc.data[slot * cols..(slot + 1) * cols]);
+                    }
+                    Some(Grad::Rows { cols, rows, data })
+                }
+            })
+            .collect();
+        GradStore { grads }
     }
 }
 
@@ -404,39 +546,51 @@ mod tests {
         assert_eq!(store.num_scalars(), 6);
     }
 
+    fn shape(rows: usize, cols: usize) -> mhg_tensor::Shape {
+        mhg_tensor::Shape::new(rows, cols)
+    }
+
     #[test]
     fn dense_accumulation_adds() {
-        let mut gs = GradStore::new();
+        let mut index = RowIndex::new();
+        let mut acc = GradAccumulator::new(1, &mut index);
         let id = ParamId(0);
-        gs.accumulate_dense(id, Tensor::full(2, 2, 1.0));
-        gs.accumulate_dense(id, Tensor::full(2, 2, 2.0));
-        let d = gs.to_dense(id, 2, 2);
+        acc.dense(id, shape(2, 2), &[1.0; 4]);
+        acc.dense(id, shape(2, 2), &[2.0; 4]);
+        let d = acc.finish().to_dense(id, 2, 2);
         assert_eq!(d, Tensor::full(2, 2, 3.0));
     }
 
     #[test]
-    fn row_accumulation_is_sparse() {
-        let mut gs = GradStore::new();
+    fn gathered_rows_are_sparse_sorted_and_flat() {
+        let mut index = RowIndex::new();
+        let mut acc = GradAccumulator::new(2, &mut index);
         let id = ParamId(1);
-        gs.accumulate_row(id, 5, &[1.0, 2.0]);
-        gs.accumulate_row(id, 5, &[1.0, 2.0]);
-        gs.accumulate_row(id, 0, &[3.0, 0.0]);
+        acc.gather(id, 6, &[5, 0, 5], 2, &[1.0, 2.0, 3.0, 0.0, 1.0, 2.0]);
+        let gs = acc.finish();
         match gs.get(id).unwrap() {
-            Grad::Rows { rows, cols } => {
+            Grad::Rows { cols, rows, data } => {
                 assert_eq!(*cols, 2);
-                assert_eq!(rows.len(), 2);
-                assert_eq!(rows[&5], vec![2.0, 4.0]);
+                assert_eq!(rows, &[0, 5]);
+                assert_eq!(data, &[3.0, 0.0, 2.0, 4.0]);
             }
             _ => panic!("expected sparse grad"),
         }
+        assert!(gs.get(ParamId(0)).is_none());
+        assert_eq!(gs.len(), 1);
+        // finish() leaves the row map clear for the next pass.
+        assert!(index.iter().flatten().all(|&s| s == NO_SLOT));
     }
 
     #[test]
     fn mixed_dense_and_rows() {
-        let mut gs = GradStore::new();
+        let mut index = RowIndex::new();
+        let mut acc = GradAccumulator::new(1, &mut index);
         let id = ParamId(0);
-        gs.accumulate_row(id, 1, &[1.0, 1.0]);
-        gs.accumulate_dense(id, Tensor::full(3, 2, 0.5));
+        acc.gather(id, 3, &[1], 2, &[1.0, 1.0]);
+        acc.dense(id, shape(3, 2), &[0.5; 6]);
+        let gs = acc.finish();
+        assert!(matches!(gs.get(id), Some(Grad::Rows { rows, .. }) if rows == &[0, 1, 2]));
         let d = gs.to_dense(id, 3, 2);
         assert_eq!(d.row(0), &[0.5, 0.5]);
         assert_eq!(d.row(1), &[1.5, 1.5]);
@@ -444,8 +598,10 @@ mod tests {
 
     #[test]
     fn clip_reduces_norm() {
-        let mut gs = GradStore::new();
-        gs.accumulate_dense(ParamId(0), Tensor::full(1, 4, 3.0)); // norm 6
+        let mut index = RowIndex::new();
+        let mut acc = GradAccumulator::new(1, &mut index);
+        acc.dense(ParamId(0), shape(1, 4), &[3.0; 4]); // norm 6
+        let mut gs = acc.finish();
         let pre = gs.clip_global_norm(1.0);
         assert!((pre - 6.0).abs() < 1e-5);
         assert!((gs.global_norm() - 1.0).abs() < 1e-5);

@@ -10,7 +10,7 @@
 use mhg_tensor::Shape;
 
 use crate::graph::{Graph, Op, Var};
-use crate::store::{Grad, GradStore, ParamId};
+use crate::store::{row_pairs, Grad, GradStore, ParamId};
 
 impl Graph<'_> {
     /// Checks every structural invariant of the tape, panicking with a
@@ -201,14 +201,26 @@ impl Graph<'_> {
                     );
                     t.assert_finite(&format!("gradient of `{name}`"));
                 }
-                Grad::Rows { cols, rows } => {
+                Grad::Rows { cols, rows, data } => {
                     assert_eq!(
                         *cols, pshape.cols,
                         "sparse gradient width for `{name}` does not match \
                          parameter width {}",
                         pshape.cols,
                     );
-                    for (&r, row) in rows {
+                    assert_eq!(
+                        data.len(),
+                        rows.len() * cols,
+                        "sparse gradient of `{name}` holds {} entries for {} \
+                         rows of width {cols}",
+                        data.len(),
+                        rows.len(),
+                    );
+                    assert!(
+                        rows.windows(2).all(|w| w[0] < w[1]),
+                        "sparse gradient rows of `{name}` are not strictly ascending",
+                    );
+                    for (r, row) in row_pairs(rows, data, *cols) {
                         assert!(
                             r < pshape.rows,
                             "sparse gradient row {r} out of bounds for `{name}` \

@@ -238,9 +238,10 @@ pub mod hist {
 }
 
 pub mod reduce {
-    //! Sub-operation models of the `mhg-par` scatter-add reduction
-    //! (`par_partitions` + caller-side merge), mirroring
-    //! `GradStore::accumulate_gather`.
+    //! Sub-operation models of the `mhg-par` scatter-add reduction,
+    //! mirroring `Tensor::scatter_add_rows`: workers own fixed destination
+    //! row ranges, scan every input in input order, and their disjoint
+    //! partials land in partition order.
 
     use super::Range;
 

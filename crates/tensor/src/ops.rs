@@ -86,28 +86,33 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.rows());
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return guard(out, "matmul_transposed");
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
-            for (ii, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = i0 + ii;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, out_v) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (a_v, b_v) in a_row.iter().zip(b_row) {
-                        acc += a_v * b_v;
-                    }
-                    *out_v = acc;
-                }
-            }
-        });
+        let mut out = Tensor::zeros(self.rows(), rhs.rows());
+        let dims = (self.rows(), self.cols(), rhs.rows());
+        matmul_transposed_into(self.as_slice(), rhs.as_slice(), out.as_mut_slice(), dims);
         guard(out, "matmul_transposed")
+    }
+
+    /// Matrix product `selfᵀ · rhs` without materialising the transpose —
+    /// the `dB = Aᵀ·dC` of a matmul backward pass.
+    ///
+    /// Bit-identical to `self.transpose().matmul(rhs)`: every output entry
+    /// accumulates over the shared row index in the same ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn transposed_matmul(&self, rhs: &Tensor) -> Tensor {
+        assert_eq!(
+            self.rows(),
+            rhs.rows(),
+            "transposed_matmul shape mismatch: {}ᵀ · {}",
+            self.shape(),
+            rhs.shape()
+        );
+        let mut out = Tensor::zeros(self.cols(), rhs.cols());
+        let dims = (self.cols(), self.rows(), rhs.cols());
+        transposed_matmul_into(self.as_slice(), rhs.as_slice(), out.as_mut_slice(), dims);
+        guard(out, "transposed_matmul")
     }
 
     /// Returns the transposed tensor.
@@ -240,16 +245,22 @@ impl Tensor {
         }
     }
 
-    /// Column-wise mean: returns a `1 × cols` tensor.
-    pub fn mean_rows(&self) -> Tensor {
+    /// Column-wise sum: returns a `1 × cols` tensor (zeros for no rows).
+    pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols());
-        if self.rows() == 0 {
-            return out;
-        }
         for row in self.rows_iter() {
             for (o, v) in out.row_mut(0).iter_mut().zip(row) {
                 *o += v;
             }
+        }
+        guard(out, "sum_rows")
+    }
+
+    /// Column-wise mean: returns a `1 × cols` tensor (zeros for no rows).
+    pub fn mean_rows(&self) -> Tensor {
+        let mut out = self.sum_rows();
+        if self.rows() == 0 {
+            return out;
         }
         let inv = 1.0 / self.rows() as f32;
         for o in out.as_mut_slice() {
@@ -405,6 +416,101 @@ impl Tensor {
     }
 }
 
+/// `out = a · bᵀ` over row-major slices, for `(m, k, n)` = `dims`: `a` is
+/// `m × k`, `b` is `n × k` and `out` (`m × n`) is overwritten. This is the
+/// kernel behind [`Tensor::matmul_transposed`]; the autograd backward pass
+/// calls it to write `dA = dC·Bᵀ` straight into its gradient arena.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match `dims`.
+pub fn matmul_transposed_into(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
+    let (m, k, n) = dims;
+    assert_lens(
+        "matmul_transposed_into",
+        [a.len(), b.len(), out.len()],
+        [m * k, n * k, m * n],
+    );
+    if out.is_empty() {
+        return;
+    }
+    // Each entry is a dot product summed in strict `t` order, which LLVM
+    // may not reorder; so `LANES` entries run side by side, each with its
+    // own accumulator in that same order — the same bits, without one long
+    // add-latency chain per entry.
+    const LANES: usize = 8;
+    mhg_par::par_chunks_mut(out, n, 2 * k * n, |i0, chunk| {
+        for (ii, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+            let i = i0 + ii;
+            let a_row = &a[i * k..(i + 1) * k];
+            let mut blocks = out_row.chunks_exact_mut(LANES);
+            for (jb, out_block) in (&mut blocks).enumerate() {
+                let b_block = &b[jb * LANES * k..(jb + 1) * LANES * k];
+                let mut acc = [0.0f32; LANES];
+                for (t, a_v) in a_row.iter().enumerate() {
+                    for (l, acc_l) in acc.iter_mut().enumerate() {
+                        *acc_l += a_v * b_block[l * k + t];
+                    }
+                }
+                out_block.copy_from_slice(&acc);
+            }
+            let done = n - blocks.into_remainder().len();
+            for (j, out_v) in out_row.iter_mut().enumerate().skip(done) {
+                let b_row = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0;
+                for (a_v, b_v) in a_row.iter().zip(b_row) {
+                    acc += a_v * b_v;
+                }
+                *out_v = acc;
+            }
+        }
+    });
+}
+
+/// `out = aᵀ · b` over row-major slices, for `(m, k, n)` = `dims`: `a` is
+/// `k × m`, `b` is `k × n` and `out` (`m × n`) is overwritten. Entry
+/// `(i, j)` sums `a[t][i] · b[t][j]` for `t = 0, 1, …, k−1` starting from
+/// `0.0` — the order `matmul` uses over a materialised `aᵀ` — so the result
+/// is bit-identical to it. This is the kernel behind
+/// [`Tensor::transposed_matmul`] and the backward pass's `dB = Aᵀ·dC`.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match `dims`.
+pub fn transposed_matmul_into(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
+    let (m, k, n) = dims;
+    assert_lens(
+        "transposed_matmul_into",
+        [a.len(), b.len(), out.len()],
+        [k * m, k * n, m * n],
+    );
+    out.fill(0.0);
+    if out.is_empty() {
+        return;
+    }
+    mhg_par::par_chunks_mut(out, n, 2 * k * n, |i0, chunk| {
+        for (ii, c_row) in chunk.chunks_exact_mut(n).enumerate() {
+            let i = i0 + ii;
+            for t in 0..k {
+                let a_ti = a[t * m + i];
+                let b_row = &b[t * n..(t + 1) * n];
+                for (c_v, b_v) in c_row.iter_mut().zip(b_row) {
+                    *c_v += a_ti * b_v;
+                }
+            }
+        }
+    });
+}
+
+/// Asserts that the `a`, `b` and `out` slice lengths of a slice kernel
+/// match the lengths its dimensions imply.
+fn assert_lens(op: &str, got: [usize; 3], want: [usize; 3]) {
+    assert_eq!(
+        got, want,
+        "{op}: slice lengths (a, b, out) do not match the dimensions"
+    );
+}
+
 /// Numerically-stable scalar logistic sigmoid.
 #[inline]
 pub fn sigmoid_scalar(x: f32) -> f32 {
@@ -463,6 +569,34 @@ mod tests {
         let via_t = a.matmul(&b.transpose());
         let direct = a.matmul_transposed(&b);
         assert!(via_t.max_abs_diff(&direct) < 1e-6);
+    }
+
+    #[test]
+    fn transposed_matmul_is_bit_identical_to_explicit_transpose() {
+        let a = Tensor::from_rows(&[&[1.1, -2.0, 3.3], &[4.0, 0.7, -6.1]]);
+        let b = Tensor::from_rows(&[&[0.3, 8.0], &[-1.9, 0.5]]);
+        let via_t = a.transpose().matmul(&b);
+        let direct = a.transposed_matmul(&b);
+        assert_eq!(direct.shape(), via_t.shape());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&direct), bits(&via_t));
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed_matmul shape mismatch")]
+    fn transposed_matmul_rejects_mismatch() {
+        let _ = Tensor::zeros(2, 3).transposed_matmul(&Tensor::zeros(3, 2));
+    }
+
+    #[test]
+    fn sum_rows_sums_columns_directly() {
+        // In f32, (Σ/3)·3 misses Σ here by one ulp: the column sum must
+        // not be derived from the mean.
+        let a = Tensor::from_rows(&[&[-1.1, 1.0], &[-0.3, 2.0], &[-1.9, 3.0]]);
+        let direct = (-1.1f32 + -0.3) + -1.9;
+        assert_ne!(a.mean_rows()[(0, 0)] * 3.0, direct);
+        assert_eq!(a.sum_rows().as_slice(), &[direct, 6.0]);
+        assert_eq!(Tensor::zeros(0, 2).sum_rows(), Tensor::zeros(1, 2));
     }
 
     #[test]

@@ -55,6 +55,19 @@ proptest! {
         let a = random(m, k, &mut rng);
         let b = random(n, k, &mut rng);
         assert_parity(|| a.matmul_transposed(&b))?;
+        // Every entry sums over k in order, exactly as matmul over bᵀ does.
+        prop_assert_eq!(bits(&a.matmul_transposed(&b)), bits(&a.matmul(&b.transpose())));
+    }
+
+    #[test]
+    fn transposed_matmul_parity((k, m, n) in (1usize..80, 1usize..64, 1usize..64),
+                                seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = random(k, m, &mut rng);
+        let b = random(k, n, &mut rng);
+        assert_parity(|| a.transposed_matmul(&b))?;
+        // And it is the explicit transpose's product, bit for bit.
+        prop_assert_eq!(bits(&a.transposed_matmul(&b)), bits(&a.transpose().matmul(&b)));
     }
 
     #[test]
