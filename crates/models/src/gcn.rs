@@ -113,7 +113,7 @@ impl LinkPredictor for Gcn {
             emb,
             w1,
         };
-        let mut step = TapeStep::new(model, params, cfg.lr);
+        let mut step = TapeStep::new(model, params, cfg.lr, cfg.obs.clone());
         let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
         self.scores = scores;
         Ok(report)

@@ -141,7 +141,7 @@ impl LinkPredictor for Han {
             schemes,
             p,
         };
-        let mut step = TapeStep::new(model, params, cfg.lr);
+        let mut step = TapeStep::new(model, params, cfg.lr, cfg.obs.clone());
         let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
         self.scores = scores;
         Ok(report)

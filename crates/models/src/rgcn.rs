@@ -195,7 +195,7 @@ impl LinkPredictor for RGcn {
                 rng,
             ))
         };
-        let mut step = TapeStep::new(model, params, cfg.lr);
+        let mut step = TapeStep::new(model, params, cfg.lr, cfg.obs.clone());
         let (report, snapshot) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
         self.snapshot = Some(snapshot);
         Ok(report)

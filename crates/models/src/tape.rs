@@ -2,9 +2,14 @@
 //! R-GCN, GATNE, HybridGNN): a fresh tape per batch, backward, one Adam
 //! step. A model supplies only its loss on the tape and its full-graph
 //! snapshot.
+//!
+//! Each step records the spans `train/forward` (the model's loss on a fresh
+//! tape, sampling included), `train/backward` and `train/optim`, and the
+//! histogram `train/tape_nodes` (tape length per step).
 
 use mhg_autograd::{Adam, Graph, Optimizer, ParamStore, Var};
 use mhg_ckpt::{CkptError, StateDict};
+use mhg_obs::Obs;
 use mhg_train::{BatchLoss, Snapshot, TrainStep};
 use rand::rngs::StdRng;
 
@@ -29,16 +34,19 @@ pub struct TapeStep<M> {
     model: M,
     params: ParamStore,
     opt: Adam,
+    obs: Obs,
 }
 
 impl<M> TapeStep<M> {
-    /// Wraps `model` and its registered `params`. Every tape model uses
-    /// Adam at `min(lr, 0.01)`.
-    pub fn new(model: M, params: ParamStore, lr: f32) -> Self {
+    /// Wraps `model` and its registered `params`; the step phases record
+    /// into `obs`, the run's handle. Every tape model uses Adam at
+    /// `min(lr, 0.01)`.
+    pub fn new(model: M, params: ParamStore, lr: f32, obs: Obs) -> Self {
         Self {
             model,
             params,
             opt: Adam::new(lr.min(0.01)),
+            obs,
         }
     }
 }
@@ -48,10 +56,16 @@ impl<M: TapeModel> TrainStep for TapeStep<M> {
     type Snapshot = M::Snapshot;
 
     fn step(&mut self, batch: M::Batch, rng: &mut StdRng) -> BatchLoss {
+        let forward = self.obs.span("train/forward");
         let mut g = Graph::new(&self.params);
         let loss = self.model.loss(&mut g, batch, rng);
         let loss_sum = g.scalar(loss) as f64;
+        drop(forward);
+        self.obs.record_value("train/tape_nodes", g.len() as u64);
+        let backward = self.obs.span("train/backward");
         let grads = g.backward(loss);
+        drop(backward);
+        let _optim = self.obs.span("train/optim");
         self.opt.step(&mut self.params, &grads);
         BatchLoss { loss_sum, denom: 1 }
     }
