@@ -8,7 +8,9 @@
 
 use std::borrow::Cow;
 
-use mhg_tensor::Tensor;
+use mhg_tensor::{
+    matmul_into, matmul_transposed_into, mean_rows_into, softmax_row, sum_rows_into, Tensor,
+};
 
 use crate::store::{ParamId, ParamStore};
 
@@ -70,6 +72,80 @@ pub(crate) enum Op {
     LogisticLoss { scores: Var, labels: Vec<f32> },
     /// Sum of all entries (`1 × 1`), used for L2 regularisation terms.
     SumAll(Var),
+    /// Rows picked from several sources: pick `p` is row `picks[p].1` of
+    /// `sources[picks[p].0]`; a row may be picked more than once.
+    SelectRows {
+        sources: Vec<Var>,
+        picks: Vec<(u32, u32)>,
+    },
+    /// Column-wise sum of each CSR segment of rows, one output row each.
+    SegmentSum(Var, Vec<usize>),
+    /// Column-wise mean of each CSR segment of rows.
+    SegmentMean(Var, Vec<usize>),
+    /// Column-wise maximum of each (non-empty) CSR segment of rows.
+    SegmentMax(Var, Vec<usize>),
+    /// Per-segment attention weights `softmax(Q_s · K_sᵀ · scale)`, packed
+    /// as one `Σ n_s² × 1` column of row-major `n_s × n_s` blocks.
+    SegmentAttention {
+        q: Var,
+        k: Var,
+        offsets: Vec<usize>,
+        scale: f32,
+    },
+    /// Per-segment `A_s · V_s` for the packed weights of a
+    /// [`Op::SegmentAttention`] node.
+    SegmentApply {
+        attn: Var,
+        v: Var,
+        offsets: Vec<usize>,
+    },
+}
+
+/// Whether `offsets` are CSR segment bounds over `rows` rows: they start
+/// at 0, never decrease and end at `rows`.
+pub(crate) fn offsets_ok(offsets: &[usize], rows: usize) -> bool {
+    offsets.first() == Some(&0)
+        && offsets.last() == Some(&rows)
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// Asserts [`offsets_ok`] with a diagnostic naming the op.
+fn assert_offsets(op: &str, offsets: &[usize], rows: usize) {
+    assert!(
+        offsets_ok(offsets, rows),
+        "{op}: segment offsets {offsets:?} are not CSR bounds over {rows} rows"
+    );
+}
+
+/// Rows of segment `s`: `offsets[s]..offsets[s + 1]`.
+#[inline]
+pub(crate) fn segment(offsets: &[usize], s: usize) -> std::ops::Range<usize> {
+    offsets[s]..offsets[s + 1]
+}
+
+/// Row-major offset of segment `s`'s `n_s × n_s` block in a packed
+/// [`Op::SegmentAttention`] value, for every segment plus the total.
+pub(crate) fn packed_starts(offsets: &[usize]) -> Vec<usize> {
+    let mut starts = Vec::with_capacity(offsets.len());
+    let mut total = 0;
+    starts.push(0);
+    for w in offsets.windows(2) {
+        total += (w[1] - w[0]) * (w[1] - w[0]);
+        starts.push(total);
+    }
+    starts
+}
+
+/// Column-wise maximum of the row-major rows of `src` into `out` (one row
+/// of width `out.len()`): each column folds `f32::max` over the rows in
+/// order, starting from −∞.
+fn max_rows_into(src: &[f32], out: &mut [f32]) {
+    out.fill(f32::NEG_INFINITY);
+    for row in src.chunks_exact(out.len().max(1)) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o = o.max(v);
+        }
+    }
 }
 
 /// A tape node: its forward value and the op that produced it. A `Param`
@@ -285,14 +361,8 @@ impl<'s> Graph<'s> {
     pub fn max_rows(&mut self, a: Var) -> Var {
         let src = self.value(a);
         assert!(src.rows() > 0, "max_rows of empty tensor");
-        let mut value = mhg_tensor::Tensor::zeros(1, src.cols());
-        for c in 0..src.cols() {
-            let mut best = f32::NEG_INFINITY;
-            for r in 0..src.rows() {
-                best = best.max(src[(r, c)]);
-            }
-            value[(0, c)] = best;
-        }
+        let mut value = Tensor::zeros(1, src.cols());
+        max_rows_into(src.as_slice(), value.as_mut_slice());
         self.push(value, Op::MaxRows(a))
     }
 
@@ -338,6 +408,207 @@ impl<'s> Graph<'s> {
             value[(i, 0)] = ta.row_dot(i, tb, i);
         }
         self.push(value, Op::RowDot(a, b))
+    }
+
+    // ------------------------------------------------------------------
+    // Batched structure: row selection and CSR segments
+    //
+    // Each op computes every output row with the kernel, and in the order,
+    // of the per-row op it batches (`concat_rows`/`slice_rows`,
+    // `sum_rows`, `mean_rows`, `max_rows`, the `softmax(q·kᵀ·s)·v` chain),
+    // so its forward values are bit-identical to running that op segment by
+    // segment. `offsets` are CSR bounds: segment `s` is input rows
+    // `offsets[s]..offsets[s + 1]`.
+    // ------------------------------------------------------------------
+
+    /// Stacks picked rows: output row `p` is row `picks[p].1` of
+    /// `sources[picks[p].0]`. A row may be picked any number of times; its
+    /// gradient is the sum over its picks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, their widths differ, or a pick is out
+    /// of range.
+    pub fn select_rows(&mut self, sources: &[Var], picks: &[(u32, u32)]) -> Var {
+        assert!(!sources.is_empty(), "select_rows from zero sources");
+        let cols = self.value(sources[0]).cols();
+        let tensors: Vec<&Tensor> = sources.iter().map(|&v| self.value(v)).collect();
+        assert!(
+            tensors.iter().all(|t| t.cols() == cols),
+            "select_rows: source widths differ"
+        );
+        let mut data = Vec::with_capacity(picks.len() * cols);
+        for &(src, row) in picks {
+            assert!(
+                (src as usize) < tensors.len(),
+                "select_rows: source {src} of {}",
+                tensors.len()
+            );
+            let t = tensors[src as usize];
+            assert!(
+                (row as usize) < t.rows(),
+                "select_rows: row {row} out of bounds for source {src} with {} rows",
+                t.rows()
+            );
+            data.extend_from_slice(t.row(row as usize));
+        }
+        let value = Tensor::from_vec(picks.len(), cols, data);
+        self.push(
+            value,
+            Op::SelectRows {
+                sources: sources.to_vec(),
+                picks: picks.to_vec(),
+            },
+        )
+    }
+
+    /// Runs `kernel(segment rows, output row)` for every segment of `a`.
+    fn segment_rows(
+        &self,
+        a: Var,
+        offsets: &[usize],
+        kernel: impl Fn(&[f32], &mut [f32]),
+    ) -> Tensor {
+        let src = self.value(a);
+        assert_offsets("segment pooling", offsets, src.rows());
+        let cols = src.cols();
+        let mut value = Tensor::zeros(offsets.len() - 1, cols);
+        for (s, out) in value
+            .as_mut_slice()
+            .chunks_exact_mut(cols.max(1))
+            .enumerate()
+        {
+            let rows = segment(offsets, s);
+            kernel(&src.as_slice()[rows.start * cols..rows.end * cols], out);
+        }
+        value
+    }
+
+    /// Column-wise sum of every segment: one `1 × d` row per segment, as
+    /// [`Graph::sum_rows`] computes it (zeros for an empty segment).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` are CSR bounds over `a`'s rows.
+    pub fn segment_sum(&mut self, a: Var, offsets: &[usize]) -> Var {
+        let value = self.segment_rows(a, offsets, sum_rows_into);
+        self.push(value, Op::SegmentSum(a, offsets.to_vec()))
+    }
+
+    /// Column-wise mean of every segment, as [`Graph::mean_rows`] computes
+    /// it (zeros for an empty segment).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` are CSR bounds over `a`'s rows.
+    pub fn segment_mean(&mut self, a: Var, offsets: &[usize]) -> Var {
+        let value = self.segment_rows(a, offsets, mean_rows_into);
+        self.push(value, Op::SegmentMean(a, offsets.to_vec()))
+    }
+
+    /// Column-wise maximum of every segment, as [`Graph::max_rows`]
+    /// computes it; the gradient goes to the first arg-max row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` are CSR bounds over `a`'s rows with no empty
+    /// segment.
+    pub fn segment_max(&mut self, a: Var, offsets: &[usize]) -> Var {
+        assert!(
+            offsets.windows(2).all(|w| w[0] < w[1]),
+            "segment_max of an empty segment"
+        );
+        let value = self.segment_rows(a, offsets, max_rows_into);
+        self.push(value, Op::SegmentMax(a, offsets.to_vec()))
+    }
+
+    /// Self-attention weights of every segment:
+    /// `A_s = softmax_rows(Q_s · K_sᵀ · scale)`, computed as
+    /// `softmax_rows(scale(matmul(q, transpose(k))))` would per segment.
+    /// The value packs the row-major `n_s × n_s` blocks into one
+    /// `Σ n_s² × 1` column, in segment order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` and `k` differ in shape or `offsets` are not CSR
+    /// bounds over their rows.
+    pub fn segment_attention(&mut self, q: Var, k: Var, offsets: &[usize], scale: f32) -> Var {
+        let (tq, tk) = (self.value(q), self.value(k));
+        assert_eq!(
+            tq.shape(),
+            tk.shape(),
+            "segment_attention: q/k shape mismatch"
+        );
+        assert_offsets("segment_attention", offsets, tq.rows());
+        let d = tq.cols();
+        let starts = packed_starts(offsets);
+        let mut value = Tensor::zeros(starts[starts.len() - 1], 1);
+        let out = value.as_mut_slice();
+        for s in 0..offsets.len() - 1 {
+            let rows = segment(offsets, s);
+            let n = rows.len();
+            let block = &mut out[starts[s]..starts[s + 1]];
+            let (qs, ks) = (
+                &tq.as_slice()[rows.start * d..rows.end * d],
+                &tk.as_slice()[rows.start * d..rows.end * d],
+            );
+            matmul_transposed_into(qs, ks, block, (n, d, n));
+            for v in block.iter_mut() {
+                *v *= scale;
+            }
+            for row in block.chunks_exact_mut(n.max(1)) {
+                softmax_row(row);
+            }
+        }
+        self.push(
+            value,
+            Op::SegmentAttention {
+                q,
+                k,
+                offsets: offsets.to_vec(),
+                scale,
+            },
+        )
+    }
+
+    /// Applies packed per-segment weights (a [`Graph::segment_attention`]
+    /// value) to `v`: output rows of segment `s` are `A_s · V_s`, as
+    /// `matmul(attn, v)` computes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` are not CSR bounds over `v`'s rows or `attn` is
+    /// not the matching `Σ n_s² × 1` column.
+    pub fn segment_apply(&mut self, attn: Var, v: Var, offsets: &[usize]) -> Var {
+        let (ta, tv) = (self.value(attn), self.value(v));
+        assert_offsets("segment_apply", offsets, tv.rows());
+        let starts = packed_starts(offsets);
+        assert_eq!(
+            (ta.rows(), ta.cols()),
+            (starts[starts.len() - 1], 1),
+            "segment_apply: weights do not match the segments"
+        );
+        let d = tv.cols();
+        let mut value = Tensor::zeros(tv.rows(), d);
+        let out = value.as_mut_slice();
+        for s in 0..offsets.len() - 1 {
+            let rows = segment(offsets, s);
+            let n = rows.len();
+            matmul_into(
+                &ta.as_slice()[starts[s]..starts[s + 1]],
+                &tv.as_slice()[rows.start * d..rows.end * d],
+                &mut out[rows.start * d..rows.end * d],
+                (n, n, d),
+            );
+        }
+        self.push(
+            value,
+            Op::SegmentApply {
+                attn,
+                v,
+                offsets: offsets.to_vec(),
+            },
+        )
     }
 
     // ------------------------------------------------------------------

@@ -9,7 +9,7 @@
 
 use mhg_tensor::Shape;
 
-use crate::graph::{Graph, Op, Var};
+use crate::graph::{offsets_ok, packed_starts, Graph, Op, Var};
 use crate::store::{row_pairs, Grad, GradStore, ParamId};
 
 impl Graph<'_> {
@@ -164,6 +164,78 @@ impl Graph<'_> {
                 Op::SumAll(a) => {
                     operand(*a, "input");
                     expect(Shape::new(1, 1));
+                }
+                Op::SelectRows { sources, picks } => {
+                    let shapes: Vec<Shape> =
+                        sources.iter().map(|&v| operand(v, "source")).collect();
+                    let cols = shapes.first().map_or(got.cols, |sh| sh.cols);
+                    assert!(
+                        shapes.iter().all(|sh| sh.cols == cols),
+                        "tape node #{i} (SelectRows): source widths differ",
+                    );
+                    for &(src, row) in picks {
+                        assert!(
+                            (src as usize) < shapes.len(),
+                            "tape node #{i} (SelectRows): pick from source {src} of {}",
+                            shapes.len(),
+                        );
+                        let sh = shapes[src as usize];
+                        assert!(
+                            (row as usize) < sh.rows,
+                            "tape node #{i} (SelectRows): row {row} out of bounds for \
+                             source {src} with {} rows",
+                            sh.rows,
+                        );
+                    }
+                    expect(Shape::new(picks.len(), cols));
+                }
+                Op::SegmentSum(a, offsets)
+                | Op::SegmentMean(a, offsets)
+                | Op::SegmentMax(a, offsets) => {
+                    let sa = operand(*a, "input");
+                    assert!(
+                        offsets_ok(offsets, sa.rows),
+                        "tape node #{i} ({op:?}): offsets are not CSR bounds over \
+                         {} rows",
+                        sa.rows,
+                        op = node.op,
+                    );
+                    if matches!(node.op, Op::SegmentMax(..)) {
+                        assert!(
+                            offsets.windows(2).all(|w| w[0] < w[1]),
+                            "tape node #{i} (SegmentMax): empty segment",
+                        );
+                    }
+                    expect(Shape::new(offsets.len() - 1, sa.cols));
+                }
+                Op::SegmentAttention { q, k, offsets, .. } => {
+                    let (sq, sk) = (operand(*q, "query"), operand(*k, "key"));
+                    assert_eq!(
+                        sq, sk,
+                        "tape node #{i} (SegmentAttention): query/key shapes differ",
+                    );
+                    assert!(
+                        offsets_ok(offsets, sq.rows),
+                        "tape node #{i} (SegmentAttention): offsets are not CSR \
+                         bounds over {} rows",
+                        sq.rows,
+                    );
+                    expect(Shape::new(packed_starts(offsets)[offsets.len() - 1], 1));
+                }
+                Op::SegmentApply { attn, v, offsets } => {
+                    let (sa, sv) = (operand(*attn, "weights"), operand(*v, "values"));
+                    assert!(
+                        offsets_ok(offsets, sv.rows),
+                        "tape node #{i} (SegmentApply): offsets are not CSR bounds \
+                         over {} rows",
+                        sv.rows,
+                    );
+                    assert_eq!(
+                        sa,
+                        Shape::new(packed_starts(offsets)[offsets.len() - 1], 1),
+                        "tape node #{i} (SegmentApply): weights do not match the segments",
+                    );
+                    expect(sv);
                 }
             }
 

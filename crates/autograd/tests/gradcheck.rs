@@ -344,3 +344,129 @@ fn grad_max_rows() {
         6e-2,
     );
 }
+
+#[test]
+fn grad_select_rows_with_repeated_picks() {
+    let mut params = store_with(&[(3, 2), (2, 2)], 32);
+    let (a, b) = (pid(&params, 0), pid(&params, 1));
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let av = g.param(a);
+            let bv = g.param(b);
+            // Row 1 of `a` is picked three times, row 0 of `b` twice.
+            let picked =
+                g.select_rows(&[av, bv], &[(0, 1), (1, 0), (0, 1), (0, 2), (1, 0), (0, 1)]);
+            to_scalar(g, picked)
+        },
+        TOL,
+    );
+}
+
+/// CSR bounds with a one-row segment, a three-row one and a two-row one.
+const SEGMENTS: [usize; 4] = [0, 1, 4, 6];
+
+#[test]
+fn grad_segment_sum_and_mean() {
+    let mut params = store_with(&[(6, 3)], 33);
+    let a = pid(&params, 0);
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let av = g.param(a);
+            let s = g.segment_sum(av, &SEGMENTS);
+            let m = g.segment_mean(av, &SEGMENTS);
+            let both = g.mul(s, m);
+            to_scalar(g, both)
+        },
+        TOL,
+    );
+}
+
+#[test]
+fn grad_segment_max() {
+    let mut params = store_with(&[(6, 3)], 34);
+    let a = pid(&params, 0);
+    // Random init ⇒ a.s. no ties; the same looser tolerance as max_rows.
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let av = g.param(a);
+            let m = g.segment_max(av, &SEGMENTS);
+            to_scalar(g, m)
+        },
+        6e-2,
+    );
+}
+
+#[test]
+fn segment_max_ties_send_the_gradient_to_the_first_arg_max() {
+    let mut params = ParamStore::new();
+    // Segment 1 (rows 1..4) ties in both columns: rows 1 and 3 share the
+    // max of column 0, rows 2 and 3 that of column 1.
+    let a = params.register(
+        "a",
+        Tensor::from_rows(&[
+            &[0.5, -1.0],
+            &[2.0, 0.0],
+            &[1.0, 3.0],
+            &[2.0, 3.0],
+            &[-1.0, -1.0],
+            &[-1.0, -2.0],
+        ]),
+    );
+    let grad_of = |batched: bool| {
+        let mut g = Graph::new(&params);
+        let av = g.param(a);
+        let m = if batched {
+            g.segment_max(av, &SEGMENTS)
+        } else {
+            let parts: Vec<Var> = SEGMENTS
+                .windows(2)
+                .map(|w| {
+                    let s = g.slice_rows(av, w[0], w[1]);
+                    g.max_rows(s)
+                })
+                .collect();
+            g.concat_rows(&parts)
+        };
+        let w = g.constant(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
+        let weighted = g.mul(m, w);
+        let loss = g.sum_all(weighted);
+        g.backward(loss).to_dense(a, 6, 2)
+    };
+    let batched = grad_of(true);
+    assert_eq!(
+        batched.as_slice(),
+        &[1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 0.0, 0.0, 5.0, 6.0, 0.0, 0.0]
+    );
+    assert_eq!(batched.as_slice(), grad_of(false).as_slice());
+}
+
+#[test]
+fn grad_segment_attention_and_apply() {
+    // Eq. 6 per segment: softmax(Q_s·K_sᵀ/√d) · V_s with Q, K, V = H·W.
+    let mut params = store_with(&[(6, 4), (4, 3), (4, 3), (4, 3)], 35);
+    let (h, wq, wk, wv) = (
+        pid(&params, 0),
+        pid(&params, 1),
+        pid(&params, 2),
+        pid(&params, 3),
+    );
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let hv = g.param(h);
+            let mut project = |w| {
+                let w = g.param(w);
+                g.matmul(hv, w)
+            };
+            let (q, k, v) = (project(wq), project(wk), project(wv));
+            let attn = g.segment_attention(q, k, &SEGMENTS, 1.0 / (3.0f32).sqrt());
+            let out = g.segment_apply(attn, v, &SEGMENTS);
+            let pooled = g.segment_mean(out, &SEGMENTS);
+            to_scalar(g, pooled)
+        },
+        5e-2,
+    );
+}

@@ -87,3 +87,42 @@ fn well_formed_tape_passes_validation() {
     assert!(grads.get(w).is_some());
     assert!(grads.get(emb).is_some());
 }
+
+#[test]
+fn well_formed_batched_tape_passes_validation() {
+    let mut params = ParamStore::new();
+    let emb = params.register(
+        "emb",
+        Tensor::from_vec(4, 2, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]),
+    );
+    let w = params.register("w", Tensor::from_vec(2, 2, vec![0.5, -0.25, 1.0, 0.75]));
+    let mut g = Graph::new(&params);
+    let x = g.gather(emb, &[0, 1, 2, 3]);
+    let wv = g.param(w);
+    let h = g.matmul(x, wv);
+    let stacked = g.select_rows(&[x, h], &[(0, 0), (1, 3), (0, 0), (1, 1), (0, 2)]);
+    let bounds = [0, 2, 3, 5];
+    let attn = g.segment_attention(stacked, stacked, &bounds, 0.5);
+    let applied = g.segment_apply(attn, stacked, &bounds);
+    let sum = g.segment_sum(applied, &bounds);
+    let mean = g.segment_mean(applied, &bounds);
+    let max = g.segment_max(applied, &bounds);
+    let both = g.add(sum, mean);
+    let all = g.mul(both, max);
+    let loss = g.sum_all(all);
+    g.validate_tape();
+    let grads = g.backward(loss);
+    g.validate_grads(&grads);
+    assert!(grads.get(w).is_some());
+    assert!(grads.get(emb).is_some());
+}
+
+#[test]
+#[should_panic(expected = "dangling Var")]
+fn dangling_var_in_select_rows_is_rejected() {
+    let params = ParamStore::new();
+    let mut g = Graph::new(&params);
+    let a = g.constant(Tensor::zeros(2, 2));
+    let ghost = Graph::forge_var(17);
+    let _ = g.select_rows(&[a, ghost], &[(0, 1)]);
+}

@@ -26,7 +26,10 @@ mod shape;
 mod tensor;
 
 pub use init::{xavier_uniform, InitKind};
-pub use ops::{log_sigmoid, matmul_transposed_into, sigmoid_scalar, transposed_matmul_into};
+pub use ops::{
+    log_sigmoid, matmul_into, matmul_transposed_into, mean_rows_into, sigmoid_scalar, softmax_row,
+    sum_rows_into, transposed_matmul_into,
+};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -51,25 +51,12 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
         let mut out = Tensor::zeros(m, n);
-        if out.is_empty() || k == 0 {
-            return guard(out, "matmul");
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        // Branch-free inner loop: a zero-skip test here would block LLVM
-        // from vectorising the fused multiply-add over the output row.
-        mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
-            for (ii, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = i0 + ii;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (kk, &a_ik) in a_row.iter().enumerate() {
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (c_v, b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_ik * b_v;
-                    }
-                }
-            }
-        });
+        matmul_into(
+            self.as_slice(),
+            rhs.as_slice(),
+            out.as_mut_slice(),
+            (m, k, n),
+        );
         guard(out, "matmul")
     }
 
@@ -248,24 +235,14 @@ impl Tensor {
     /// Column-wise sum: returns a `1 × cols` tensor (zeros for no rows).
     pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols());
-        for row in self.rows_iter() {
-            for (o, v) in out.row_mut(0).iter_mut().zip(row) {
-                *o += v;
-            }
-        }
+        sum_rows_into(self.as_slice(), out.as_mut_slice());
         guard(out, "sum_rows")
     }
 
     /// Column-wise mean: returns a `1 × cols` tensor (zeros for no rows).
     pub fn mean_rows(&self) -> Tensor {
-        let mut out = self.sum_rows();
-        if self.rows() == 0 {
-            return out;
-        }
-        let inv = 1.0 / self.rows() as f32;
-        for o in out.as_mut_slice() {
-            *o *= inv;
-        }
+        let mut out = Tensor::zeros(1, self.cols());
+        mean_rows_into(self.as_slice(), out.as_mut_slice());
         guard(out, "mean_rows")
     }
 
@@ -296,16 +273,7 @@ impl Tensor {
         }
         mhg_par::par_chunks_mut(out.as_mut_slice(), cols, 4 * cols, |_r0, chunk| {
             for row in chunk.chunks_exact_mut(cols) {
-                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0;
-                for v in row.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                let inv = 1.0 / sum;
-                for v in row.iter_mut() {
-                    *v *= inv;
-                }
+                softmax_row(row);
             }
         });
         guard(out, "softmax_rows")
@@ -413,6 +381,95 @@ impl Tensor {
         });
         #[cfg(feature = "checked")]
         self.assert_finite("scatter_add_rows");
+    }
+}
+
+/// `out = a · b` over row-major slices, for `(m, k, n)` = `dims`: `a` is
+/// `m × k`, `b` is `k × n` and `out` (`m × n`) is overwritten. The `ikj`
+/// kernel behind [`Tensor::matmul`]: each output row is computed on its own,
+/// accumulating `a[i][t] · b[t][:]` for `t = 0, 1, …, k−1` from `0.0`, so a
+/// row comes out with the same bits whatever other rows share the call.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match `dims`.
+pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
+    let (m, k, n) = dims;
+    assert_lens(
+        "matmul_into",
+        [a.len(), b.len(), out.len()],
+        [m * k, k * n, m * n],
+    );
+    out.fill(0.0);
+    if out.is_empty() || k == 0 {
+        return;
+    }
+    // Branch-free inner loop: a zero-skip test here would block LLVM
+    // from vectorising the fused multiply-add over the output row.
+    mhg_par::par_chunks_mut(out, n, 2 * k * n, |i0, chunk| {
+        for (ii, c_row) in chunk.chunks_exact_mut(n).enumerate() {
+            let i = i0 + ii;
+            let a_row = &a[i * k..(i + 1) * k];
+            for (kk, &a_ik) in a_row.iter().enumerate() {
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (c_v, b_v) in c_row.iter_mut().zip(b_row) {
+                    *c_v += a_ik * b_v;
+                }
+            }
+        }
+    });
+}
+
+/// Column-wise sum of the row-major rows in `src` into `out` (one row of
+/// width `out.len()`), which is overwritten: rows are added in order onto
+/// `0.0`. The kernel behind [`Tensor::sum_rows`].
+///
+/// # Panics
+///
+/// Panics if `src.len()` is not a multiple of `out.len()`.
+pub fn sum_rows_into(src: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    if out.is_empty() {
+        return;
+    }
+    assert_eq!(src.len() % out.len(), 0, "sum_rows_into: ragged rows");
+    for row in src.chunks_exact(out.len()) {
+        for (o, v) in out.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+}
+
+/// Column-wise mean: [`sum_rows_into`], then each entry times
+/// `1 / rows` (zeros for no rows). The kernel behind [`Tensor::mean_rows`].
+///
+/// # Panics
+///
+/// Panics if `src.len()` is not a multiple of `out.len()`.
+pub fn mean_rows_into(src: &[f32], out: &mut [f32]) {
+    sum_rows_into(src, out);
+    if src.is_empty() {
+        return;
+    }
+    let inv = 1.0 / (src.len() / out.len()) as f32;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
+}
+
+/// Numerically-stable softmax of one row, in place: subtract the row
+/// maximum, exponentiate, then multiply by `1 / sum`. The kernel behind
+/// [`Tensor::softmax_rows`].
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
     }
 }
 
