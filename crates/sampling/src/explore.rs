@@ -35,12 +35,15 @@ impl<'g, G: GraphStore> InterRelationshipExplorer<'g, G> {
     /// One two-phase transition from `v`: returns the sampled relation and
     /// neighbor, or `None` if `v` is isolated.
     pub fn step<R: Rng + ?Sized>(&self, v: NodeId, rng: &mut R) -> Option<(RelationId, NodeId)> {
-        // Phase 1 (Eq. 1): uniform over relations with non-empty N_r(v).
-        let active = self.graph.active_relations(v);
-        if active.is_empty() {
+        // Phase 1 (Eq. 1): uniform over relations with non-empty N_r(v),
+        // counted and indexed in place of collecting them.
+        let active = |r: &RelationId| self.graph.degree(v, *r) > 0;
+        let count = self.graph.schema().relations().filter(active).count();
+        if count == 0 {
             return None;
         }
-        let r = active[rng.gen_range(0..active.len())];
+        let k = rng.gen_range(0..count);
+        let r = self.graph.schema().relations().filter(active).nth(k)?;
         // Phase 2 (Eq. 2): uniform over N_r(v).
         let d = self.graph.degree(v, r);
         let u = self.graph.neighbor_at(v, r, rng.gen_range(0..d));

@@ -55,6 +55,8 @@ impl<'g, G: GraphStore> MetapathNeighborSampler<'g, G> {
         if self.graph.node_type(v) != scheme.source_type() {
             return layers;
         }
+        // One candidate buffer for the whole call.
+        let mut candidates: Vec<NodeId> = Vec::new();
         for (hop, (&r, &want)) in scheme
             .relations()
             .iter()
@@ -64,11 +66,13 @@ impl<'g, G: GraphStore> MetapathNeighborSampler<'g, G> {
             let frontier = &layers[hop];
             let mut next = Vec::with_capacity(frontier.len().saturating_mul(self.fan_out));
             for &u in frontier {
-                let candidates: Vec<NodeId> = self.graph.with_neighbors(u, r, |ns| {
-                    ns.iter()
-                        .copied()
-                        .filter(|&w| self.graph.node_type(w) == want)
-                        .collect()
+                candidates.clear();
+                self.graph.with_neighbors(u, r, |ns| {
+                    candidates.extend(
+                        ns.iter()
+                            .copied()
+                            .filter(|&w| self.graph.node_type(w) == want),
+                    )
                 });
                 if candidates.is_empty() {
                     continue;

@@ -139,7 +139,7 @@ const GOLDEN: [Fingerprint; 10] = [
     (0x1aa81697dfe06b0d, 0x3fe33d5af9a723f8, 2), // MAGNN
     (0x44f5b508423887ce, 0x3fe52832c6e043b4, 2), // R-GCN
     (0x0c26dbf9e4fe5775, 0x3fe47ef130a94196, 2), // GATNE
-    (0x19011015a99ea748, 0x3fe31b810ecf56be, 2), // HybridGNN
+    (0xb50318789a85e53c, 0x3fe31b810ecf56be, 2), // HybridGNN
 ];
 
 /// The pipeline's own checkpoint keys, identical for every model; they sort
